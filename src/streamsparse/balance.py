@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import Graph, SpectralSketch, WeightedEdge, laplacian, pseudo_inverse
+from .graph import (Graph, SpectralSketch, WeightedEdge, _accumulate,
+                    _resistance, laplacian, pseudo_inverse)
 
 if TYPE_CHECKING:
     from .hypergraph import Hyperedge
@@ -64,17 +65,9 @@ def _pair_ratios(base_gram: np.ndarray, pairs: list[tuple[int, int]],
     The ratio tau/z of a pair equals this quadratic form for any z, which
     also covers pairs currently at z = 0.
     """
-    K = base_gram.copy()
-    for (u, v), zi in zip(pairs, z):
-        K[u, u] += zi
-        K[v, v] += zi
-        K[u, v] -= zi
-        K[v, u] -= zi
-    Kp = pseudo_inverse(K)
-    q = np.empty(len(pairs))
-    for i, (u, v) in enumerate(pairs):
-        q[i] = Kp[u, u] + Kp[v, v] - 2.0 * Kp[u, v]
-    return q
+    u, v = np.array(pairs, dtype=np.intp).T
+    K = _accumulate(base_gram.copy(), u, v, z)
+    return _resistance(pseudo_inverse(K), u, v)
 
 
 def is_balanced(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (Graph, KernelMismatchError, WeightedEdge, laplacian,
-                    pseudo_inverse, rayleigh_error)
+from .graph import (Graph, KernelMismatchError, WeightedEdge, _accumulate,
+                    _columns, _resistance, laplacian, pseudo_inverse,
+                    rayleigh_error)
 from .io import load_snap
 from .merge_reduce import (MergeReduceTree, OnlineConfig, StreamPipelineConfig,
                            StreamSparsifier, TreeConfig)
@@ -138,23 +139,19 @@ def batch_online_leverages(g: Graph, batch_size: int = 100) -> np.ndarray:
     """Leverage of each edge against the exact Laplacian of the prefix up to
     the previous batch boundary; inf when the endpoints are not yet
     connected there (forcing p = 1)."""
-    out = np.empty(g.m)
+    out = np.full(g.m, math.inf)
     L = np.zeros((g.n, g.n))
     ds = _DisjointSets(g.n)
     for start in range(0, g.m, batch_size):
         batch = g.edges[start:start + batch_size]
-        Lp = pseudo_inverse(L) if start else None
-        for i, (u, v, w) in enumerate(batch, start=start):
-            if Lp is None or ds.find(u) != ds.find(v):
-                out[i] = math.inf
-            else:
-                out[i] = w * (Lp[u, u] + Lp[v, v] - 2.0 * Lp[u, v])
-        for u, v, w in batch:
-            L[u, u] += w
-            L[v, v] += w
-            L[u, v] -= w
-            L[v, u] -= w
-            ds.union(u, v)
+        u, v, w = _columns(batch)
+        if start:
+            joined = [ds.find(a) == ds.find(b) for a, b, _ in batch]
+            lev = w * _resistance(pseudo_inverse(L), u, v)
+            out[start:start + len(batch)] = np.where(joined, lev, math.inf)
+        _accumulate(L, u, v, w)
+        for a, b, _ in batch:
+            ds.union(a, b)
     return out
 
 

@@ -16,7 +16,7 @@ from .io import (ParseError, load_edge_list, load_hyperedge_list, load_snap,
                  save_edge_list, save_hyperedge_list)
 from .hypergraph import hyper_sparsify
 from .merge_reduce import mr_sparsify, stream_sparsify, StreamPipelineConfig, TreeConfig, OnlineConfig
-from .mincut import CapabilityError, MinCutPipelineConfig, stream_mincut
+from .mincut import MinCutPipelineConfig, stream_mincut
 from .online import online_sparsify
 from .robust import AdversaryScript, RobustWrapperState, play_game
 from .window import SlidingWindowConfig, SlidingWindowState
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError, DisconnectedError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, CapabilityError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,8 +51,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {e.u}")
             if not (0 <= e.u < self.n and 0 <= e.v < self.n):
                 raise ValueError(f"edge {e} out of range for n={self.n}")
-            if e.w <= 0:
-                raise ValueError(f"non-positive weight in {e}")
+            if not 0 < e.w < math.inf:
+                raise ValueError(f"weight must be positive and finite in {e}")
 
     @property
     def m(self) -> int:
@@ -60,7 +60,8 @@ class Graph:
 
     def add(self, u: int, v: int, w: float) -> None:
         e = WeightedEdge(u, v, float(w))
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n) or w <= 0:
+        if (u == v or not (0 <= u < self.n and 0 <= v < self.n)
+                or not 0 < w < math.inf):
             raise ValueError(f"bad edge {e}")
         self.edges.append(e)
 
@@ -99,15 +100,48 @@ class KernelMismatchError(ValueError):
     the image of the reference Laplacian."""
 
 
+# -- the Laplacian kernel and the resistance gather ---------------------
+# Every module builds Gram matrices and reads resistances through these.
+
+
+def _stamp(G: np.ndarray, u: int, v: int, w: float) -> None:
+    """Add the Laplacian of one edge (u, v, w) onto G in place."""
+    G[u, u] += w
+    G[v, v] += w
+    G[u, v] -= w
+    G[v, u] -= w
+
+
+def _columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoint index arrays and weight array of a sequence of (u, v, w)."""
+    a = np.array(edges, dtype=float).reshape(-1, 3)
+    return a[:, 0].astype(np.intp), a[:, 1].astype(np.intp), a[:, 2]
+
+
+_STAMP_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _accumulate(G: np.ndarray, u, v, w) -> np.ndarray:
+    """Add the Laplacians of the edges (u[i], v[i], w[i]) onto G in place
+    and return G. The flat indices interleave edge by edge, so every cell
+    receives its terms in edge order, exactly as repeated _stamp calls do."""
+    if not G.flags.c_contiguous:
+        raise ValueError("G must be C-contiguous (updates go through a flat view)")
+    n = G.shape[0]
+    idx = np.column_stack((u * (n + 1), v * (n + 1), u * n + v, v * n + u))
+    vals = np.multiply.outer(w, _STAMP_SIGNS)
+    np.add.at(G.reshape(-1), idx.ravel(), vals.ravel())
+    return G
+
+
+def _resistance(K: np.ndarray, u, v):
+    """d_uv^T K d_uv for scalar or index-array endpoints."""
+    return K[u, u] + K[v, v] - 2.0 * K[u, v]
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Dense weighted Laplacian; multi-edges add up."""
-    L = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        L[u, u] += w
-        L[v, v] += w
-        L[u, v] -= w
-        L[v, u] -= w
-    return L
+    return _accumulate(np.zeros((g.n, g.n)), *_columns(g.edges))
 
 
 def incidence_matrix(g: Graph) -> np.ndarray:
@@ -184,10 +218,8 @@ def leverages(g: Graph, cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
     if g.m == 0:
         return np.zeros(0)
     Lp = pseudo_inverse(laplacian(g), cfg)
-    out = np.empty(g.m)
-    for i, (u, v, w) in enumerate(g.edges):
-        out[i] = w * (Lp[u, u] + Lp[v, v] - 2.0 * Lp[u, v])
-    return out
+    u, v, w = _columns(g.edges)
+    return w * _resistance(Lp, u, v)
 
 
 class SpectralSketch:
@@ -204,11 +236,7 @@ class SpectralSketch:
             raise ValueError("row scale must be positive")
         self.rows.append(row)
         u, v, s = row
-        w = s * s
-        self._gram[u, u] += w
-        self._gram[v, v] += w
-        self._gram[u, v] -= w
-        self._gram[v, u] -= w
+        _stamp(self._gram, u, v, s * s)
 
     @property
     def gram(self) -> np.ndarray:

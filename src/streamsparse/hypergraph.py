@@ -34,8 +34,8 @@ class Hyperedge:
             raise ValueError("hyperedge needs at least two vertices")
         if len(set(verts)) != len(verts):
             raise ValueError("hyperedge vertices must be distinct")
-        if self.w <= 0:
-            raise ValueError("hyperedge weight must be positive")
+        if not 0 < self.w < math.inf:
+            raise ValueError("hyperedge weight must be positive and finite")
         object.__setattr__(self, "vertices", verts)
 
     @property

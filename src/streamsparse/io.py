@@ -7,6 +7,8 @@ U(1, 10) from a seed at load time. '#' starts a comment in all formats.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graph import Graph, WeightedEdge
@@ -41,8 +43,8 @@ def load_edge_list(path, n: int | None = None) -> Graph:
             raise ParseError(path, lineno, str(exc)) from None
         if u < 0 or v < 0:
             raise ParseError(path, lineno, "negative vertex label")
-        if w <= 0:
-            raise ParseError(path, lineno, "weight must be positive")
+        if not 0 < w < math.inf:
+            raise ParseError(path, lineno, "weight must be positive and finite")
         edges.append(WeightedEdge(u, v, w))
         top = max(top, u, v)
     if n is None:

@@ -10,11 +10,11 @@ everything pushed so far.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import Graph, WeightedEdge
+from .graph import Graph, WeightedEdge, _accumulate, _columns, _stamp
 from .offline import OfflineSampleConfig, er_sparsify
 from .online import OnlineSamplerState, default_c
 from .rng import spawn_seed
@@ -23,7 +23,6 @@ from .rng import spawn_seed
 @dataclass(frozen=True)
 class TreeConfig:
     block_size: int
-    eps_prime: float = 0.1
     seed: int = 0
     rho: float | None = None      # None -> block_size / n per merge
     identity_reducer: bool = False
@@ -70,20 +69,8 @@ class MergeReduceTree:
         return self._gram
 
     def _rebuild_gram(self) -> None:
-        G = np.zeros((self.n, self.n))
-        for e in self._iter_items():
-            G[e.u, e.u] += e.w
-            G[e.v, e.v] += e.w
-            G[e.u, e.v] -= e.w
-            G[e.v, e.u] -= e.w
-        self._gram = G
-
-    def _gram_add(self, e: WeightedEdge) -> None:
-        G = self._gram
-        G[e.u, e.u] += e.w
-        G[e.v, e.v] += e.w
-        G[e.u, e.v] -= e.w
-        G[e.v, e.u] -= e.w
+        self._gram = _accumulate(np.zeros((self.n, self.n)),
+                                 *_columns(list(self._iter_items())))
 
     # -- tower mechanics -----------------------------------------------
 
@@ -98,7 +85,7 @@ class MergeReduceTree:
     def push(self, item: WeightedEdge) -> None:
         self.buffer.append(item)
         self.pushed += 1
-        self._gram_add(item)
+        _stamp(self._gram, item.u, item.v, item.w)
         self.version += 1
         self.last_delta = item
         self._note_peak()
@@ -201,7 +188,7 @@ class StreamSparsifier:
 
 def stream_sparsify(g: Graph, cfg: StreamPipelineConfig) -> Graph:
     if cfg.m_hint is None:
-        cfg.m_hint = g.m
+        cfg = replace(cfg, m_hint=g.m)
     pipe = StreamSparsifier(g.n, cfg)
     for e in g.edges:
         pipe.push(e)

@@ -1,8 +1,9 @@
 """Global min-cut: exact desk-scale oracles and the streaming pipeline.
 
-The streaming path sparsifies the edge stream to (1 + eps) spectral accuracy
-(cut values are quadratic forms on 0/1 indicators, so cuts inherit the
-bound), then finds the minimum over all near-minimum cuts of the sparsifier.
+The streaming path is "sparsify, then Stoer-Wagner": it sparsifies the edge
+stream to (1 + eps) spectral accuracy (cut values are quadratic forms on 0/1
+indicators, so every cut inherits the bound), then returns the exact min cut
+of the sparsifier.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _accumulate, _columns
 from .merge_reduce import (OnlineConfig, StreamPipelineConfig, TreeConfig,
                            eps_per_level, stream_sparsify)
 
@@ -33,14 +34,11 @@ class Cut:
 @dataclass(frozen=True)
 class MinCutPipelineConfig:
     eps: float = 0.25
-    near_factor: float = 4.0
     seed: int = 0
     block_size: int = 256
     stream: StreamPipelineConfig | None = None   # overrides the defaults
 
     def __post_init__(self):
-        if self.near_factor < 1:
-            raise ValueError("near_factor must be >= 1")
         if not 0 < self.eps < 1:
             raise ValueError("eps must be in (0, 1)")
 
@@ -81,10 +79,9 @@ def exact_mincut(g: Graph) -> Cut:
 def stoer_wagner(g: Graph) -> Cut:
     """Deterministic global min cut by repeated maximum-adjacency phases."""
     n = g.n
-    W = np.zeros((n, n))
-    for u, v, w in g.edges:
-        W[u, v] += w
-        W[v, u] += w
+    # adjacency = negated off-diagonal of the Laplacian (negation is exact)
+    W = -_accumulate(np.zeros((n, n)), *_columns(g.edges))
+    np.fill_diagonal(W, 0.0)
     groups = [[i] for i in range(n)]     # groups[i]: original vertices merged into i
     active = list(range(n))
     best_value = math.inf
@@ -140,17 +137,12 @@ def _default_stream_config(cfg: MinCutPipelineConfig, n: int,
     rho = 4.0 * math.log(max(m, 2)) / (eps_lvl * eps_lvl)
     return StreamPipelineConfig(
         online=OnlineConfig(eps=part, seed=cfg.seed),
-        tree=TreeConfig(block_size=cfg.block_size, eps_prime=eps_lvl,
-                        seed=cfg.seed, rho=rho),
+        tree=TreeConfig(block_size=cfg.block_size, seed=cfg.seed, rho=rho),
         m_hint=m)
 
 
 def stream_mincut(g: Graph, cfg: MinCutPipelineConfig = MinCutPipelineConfig()) -> float:
-    """(1 + eps)-approximate global min cut of a streamed edge list."""
-    if g.n > _ENUMERATE_MAX:
-        raise CapabilityError(
-            f"stream_mincut's enumeration stage supports n <= {_ENUMERATE_MAX}")
+    """(1 + eps)-approximate global min cut of a streamed edge list: the
+    exact min cut of its streaming sparsifier."""
     stream_cfg = cfg.stream or _default_stream_config(cfg, g.n, g.m)
-    sparsifier = stream_sparsify(g, stream_cfg)
-    near = enumerate_near_min_cuts(sparsifier, cfg.near_factor)
-    return min(cut_value(sparsifier, c.side) for c in near)
+    return stoer_wagner(stream_sparsify(g, stream_cfg)).value

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, WeightedEdge, DEFAULT_SOLVER, SolverConfig, laplacian, pseudo_inverse
+from .graph import Graph, WeightedEdge, DEFAULT_SOLVER, SolverConfig, leverages
 from .rng import UniformByIndex
 
 
@@ -27,14 +27,7 @@ class OfflineSampleConfig:
 def keep_probabilities(g: Graph, rho: float, cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
     """min(1, rho * leverage(e)) per edge; leverage is per connected
     component (the pseudoinverse handles disconnection transparently)."""
-    if g.m == 0:
-        return np.zeros(0)
-    Lp = pseudo_inverse(laplacian(g), cfg)
-    p = np.empty(g.m)
-    for i, (u, v, w) in enumerate(g.edges):
-        lev = w * (Lp[u, u] + Lp[v, v] - 2.0 * Lp[u, v])
-        p[i] = min(1.0, rho * lev)
-    return p
+    return np.minimum(1.0, rho * leverages(g, cfg))
 
 
 def er_sparsify(g: Graph, cfg: OfflineSampleConfig,

@@ -14,7 +14,7 @@ from typing import Protocol
 import numpy as np
 
 from .graph import (Graph, IncidenceRow, SpectralSketch, WeightedEdge,
-                    pseudo_inverse)
+                    _resistance, _stamp, pseudo_inverse)
 from .rng import UniformByIndex
 
 _REFRESH_EVERY = 512
@@ -121,7 +121,7 @@ class OnlineSamplerState:
         self._maybe_shrink_lambda(row.scale * row.scale)
         K = self._inverse()
         u, v, s = row
-        return s * s * (K[u, u] + K[v, v] - 2.0 * K[u, v])
+        return s * s * _resistance(K, u, v)
 
     def process_row(self, row: IncidenceRow) -> tuple[bool, IncidenceRow | None]:
         """Score, decide, and (in self-sketch mode) grow the sketch.
@@ -182,10 +182,6 @@ def exact_online_leverages(g: Graph) -> np.ndarray:
     out = np.empty(g.m)
     G = np.zeros((g.n, g.n))
     for i, (u, v, w) in enumerate(g.edges):
-        G[u, u] += w
-        G[v, v] += w
-        G[u, v] -= w
-        G[v, u] -= w
-        Gp = pseudo_inverse(G)
-        out[i] = w * (Gp[u, u] + Gp[v, v] - 2.0 * Gp[u, v])
+        _stamp(G, u, v, w)
+        out[i] = w * _resistance(pseudo_inverse(G), u, v)
     return out

@@ -11,6 +11,7 @@ from streamsparse import (DisconnectedError, Graph, IncidenceRow,
                           effective_resistance, incidence_matrix, laplacian,
                           leverage, leverages, pseudo_inverse, pseudo_solve,
                           rayleigh_error, ridge_leverage)
+from streamsparse.graph import _accumulate, _columns, _resistance, _stamp
 
 
 def triangle(w=1.0):
@@ -30,6 +31,53 @@ def random_connected(rng, n, extra=5):
         u, v = rng.choice(n, size=2, replace=False)
         edges.append(WeightedEdge(int(u), int(v), float(rng.uniform(0.5, 3))))
     return Graph(n, edges)
+
+
+class TestGraphInput:
+    def test_rejects_bad_weights(self):
+        for w in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Graph(3, [WeightedEdge(0, 1, w)])
+            with pytest.raises(ValueError):
+                Graph(3).add(0, 1, w)
+
+
+@st.composite
+def edge_lists(draw):
+    """Random (n, edges) with repeated pairs likely: few vertices, many edges."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    weight = st.floats(min_value=1e-3, max_value=1e3)
+    pairs = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(st.tuples(pairs, weight), max_size=40))
+    return n, [WeightedEdge(u, v, w) for (u, v), w in edges]
+
+
+class TestKernel:
+    @given(edge_lists(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_accumulate_equals_stamps(self, case, seed):
+        n, edges = case
+        base = np.random.default_rng(seed).standard_normal((n, n))
+        want = base.copy()
+        for u, v, w in edges:
+            _stamp(want, u, v, w)
+        got = _accumulate(base.copy(), *_columns(edges))
+        assert np.array_equal(got, want)
+        assert np.array_equal(_accumulate(np.zeros((n, n)), *_columns(edges)),
+                              laplacian(Graph(n, edges)))
+
+    @given(edge_lists(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_gather_equals_scalar_formula(self, case, seed):
+        n, edges = case
+        K = np.random.default_rng(seed).standard_normal((n, n))
+        u, v, _ = _columns(edges)
+        got = _resistance(K, u, v)
+        assert got.shape == (len(edges),)
+        for i, (a, b, _) in enumerate(edges):
+            assert got[i] == K[a, a] + K[b, b] - 2.0 * K[a, b]
+            assert got[i] == _resistance(K, a, b)
 
 
 class TestLaplacian:

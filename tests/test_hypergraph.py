@@ -33,6 +33,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             Hyperedge((1,), 1.0)
 
+    def test_rejects_bad_weights(self):
+        for w in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Hyperedge((0, 1, 2), w)
+
     def test_rank(self):
         h = Hypergraph(5, [Hyperedge((0, 1), 1.0), Hyperedge((1, 2, 3, 4), 1.0)])
         assert h.r == 4

@@ -37,9 +37,10 @@ class TestEdgeList:
 
     def test_bad_weight(self, tmp_path):
         p = tmp_path / "g.txt"
-        p.write_text("0 1 -3\n")
-        with pytest.raises(ParseError):
-            load_edge_list(p)
+        for w in ("-3", "nan", "inf"):
+            p.write_text(f"0 1 {w}\n")
+            with pytest.raises(ParseError):
+                load_edge_list(p)
 
 
 class TestHyperedgeList:

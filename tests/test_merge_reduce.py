@@ -139,3 +139,13 @@ class TestStreamingPipeline:
             online=OnlineConfig(c=6.0, seed=1),
             tree=TreeConfig(block_size=32, seed=1), m_hint=g.m)
         assert stream_sparsify(g, cfg).edges == stream_sparsify(g, cfg).edges
+
+    def test_config_not_mutated(self):
+        # the default c comes from m_hint; a reused config must not carry
+        # the first graph's length into the second run
+        small, big = gen_synthetic(10, 50, seed=8), gen_synthetic(10, 500, seed=9)
+        cfg = StreamPipelineConfig(tree=TreeConfig(block_size=32))
+        stream_sparsify(small, cfg)
+        assert cfg.m_hint is None
+        fresh = StreamPipelineConfig(tree=TreeConfig(block_size=32))
+        assert stream_sparsify(big, cfg).edges == stream_sparsify(big, fresh).edges

@@ -110,3 +110,21 @@ class TestStreaming:
                 continue
             truth = cut_value(g, side)
             assert abs(cut_value(sp, side) - truth) <= 0.3 * truth + 1e-9
+
+    def test_beyond_enumeration_size(self):
+        # n = 25 is past the enumeration guard; the streaming path has none
+        g = gen_synthetic(25, 600, seed=12)
+        truth = stoer_wagner(g).value
+        got = stream_mincut(g, MinCutPipelineConfig(eps=0.25, seed=0))
+        assert truth / 1.25 <= got <= truth * 1.25
+
+    def test_equals_min_over_enumerated_cuts(self):
+        from streamsparse import stream_sparsify
+        from streamsparse.mincut import _default_stream_config
+        rng = np.random.default_rng(4)
+        for seed in range(8):
+            g = random_connected(rng, int(rng.integers(3, 13)), extra=20)
+            cfg = MinCutPipelineConfig(eps=0.25, seed=seed)
+            sp = stream_sparsify(g, _default_stream_config(cfg, g.n, g.m))
+            best = min(c.value for c in enumerate_near_min_cuts(sp, 1.0))
+            assert stream_mincut(g, cfg) == pytest.approx(best, rel=1e-12)
