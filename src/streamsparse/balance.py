@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graph import (Graph, SpectralSketch, WeightedEdge, _accumulate,
-                    _resistance, laplacian, pseudo_inverse)
+                    _resistance_solve, laplacian)
 
 if TYPE_CHECKING:
     from .hypergraph import Hyperedge
@@ -63,11 +63,14 @@ def _pair_ratios(base_gram: np.ndarray, pairs: list[tuple[int, int]],
     """q_uv = d_uv^T K^+ d_uv on the z-augmented Gram matrix K.
 
     The ratio tau/z of a pair equals this quadratic form for any z, which
-    also covers pairs currently at z = 0.
+    also covers pairs currently at z = 0. All pairs are read from one solve
+    of K plus the projector onto its kernel, on the clique's vertex columns
+    (graph._resistance_solve); a pair straddling components of K gets the
+    pseudo-inverse value K^+_uu + K^+_vv.
     """
     u, v = np.array(pairs, dtype=np.intp).T
     K = _accumulate(base_gram.copy(), u, v, z)
-    return _resistance(pseudo_inverse(K), u, v)
+    return _resistance_solve(K, u, v)[0]
 
 
 def is_balanced(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",

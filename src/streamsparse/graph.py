@@ -139,6 +139,44 @@ def _resistance(K: np.ndarray, u, v):
     return K[u, u] + K[v, v] - 2.0 * K[u, v]
 
 
+def _components(G: np.ndarray) -> np.ndarray:
+    """Component label of every vertex of the Laplacian G: the smallest
+    vertex of its component. Read from the nonzero pattern by a frontier
+    search; positive weights only ever make off-diagonal entries more
+    negative, so no cancellation can hide an edge."""
+    adj = G != 0
+    labels = np.arange(adj.shape[0])
+    todo = adj.any(axis=1)          # isolated vertices label themselves
+    while todo.any():
+        s = int(todo.argmax())
+        comp = frontier = adj[s]
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~comp
+            comp = comp | frontier
+        labels[comp] = s
+        todo &= ~comp
+    return labels
+
+
+def _resistance_solve(G: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """d_uv^T G^+ d_uv for index arrays u, v on the Laplacian G, without an
+    eigendecomposition, and a mask of the pairs that straddle components.
+
+    P = sum_k 1_Ck 1_Ck^T / |Ck| projects onto ker G, so G + P is
+    nonsingular and G^+ = (G + P)^{-1} - P. One solve on the distinct
+    endpoint columns gives every entry the gather reads. A straddling pair
+    gets the pseudo-inverse value G^+_uu + G^+_vv, since G^+_uv = 0.
+    """
+    labels = _components(G)
+    same = labels[:, None] == labels[None, :]
+    P = same / np.bincount(labels)[labels][:, None]
+    cols, idx = np.unique(np.concatenate((u, v)), return_inverse=True)
+    E = np.zeros((G.shape[0], cols.size))
+    E[cols, np.arange(cols.size)] = 1.0
+    K = np.linalg.solve(G + P, E)[cols] - P[np.ix_(cols, cols)]
+    return _resistance(K, idx[:len(u)], idx[len(u):]), labels[u] != labels[v]
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Dense weighted Laplacian; multi-edges add up."""
     return _accumulate(np.zeros((g.n, g.n)), *_columns(g.edges))

@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .balance import BalanceConfig, clique_pairs, get_weight_assignment
-from .graph import (DisconnectedError, Graph, IncidenceRow, WeightedEdge,
-                    pseudo_inverse)
+from .graph import Graph, IncidenceRow, WeightedEdge, _resistance_solve
 from .online import OnlineSamplerState, default_c
 from .rng import UniformByIndex, spawn_seed
 
@@ -43,6 +42,12 @@ class Hyperedge:
         return len(self.vertices)
 
 
+def _check_vertices(e: Hyperedge, n: int) -> None:
+    """Raise ValueError unless every vertex of e lies in [0, n)."""
+    if e.vertices[0] < 0 or e.vertices[-1] >= n:
+        raise ValueError(f"hyperedge {e.vertices} out of range for n={n}")
+
+
 @dataclass
 class Hypergraph:
     n: int
@@ -50,8 +55,7 @@ class Hypergraph:
 
     def __post_init__(self):
         for e in self.hyperedges:
-            if e.vertices[-1] >= self.n or e.vertices[0] < 0:
-                raise ValueError("hyperedge endpoint out of range")
+            _check_vertices(e, self.n)
 
     @property
     def m(self) -> int:
@@ -63,8 +67,7 @@ class Hypergraph:
         return max((e.size for e in self.hyperedges), default=2)
 
     def add(self, e: Hyperedge) -> None:
-        if e.vertices[-1] >= self.n:
-            raise ValueError("hyperedge endpoint out of range")
+        _check_vertices(e, self.n)
         self.hyperedges.append(e)
 
 
@@ -116,7 +119,7 @@ class HyperDecision(NamedTuple):
     score: float          # max pair score before the rho multiplier
 
 
-@dataclass
+@dataclass(frozen=True)
 class HyperSamplerConfig:
     rho: float
     variant: str = "fast"            # "fast" | "balanced"
@@ -156,18 +159,18 @@ class HyperSamplerState:
 
     def _pair_scores(self, e: Hyperedge) -> float:
         """max over clique pairs of w(e) * resistance on the sketch Gram
-        matrix; infinite when a pair straddles sketch components."""
-        G = self.sampler.sketch.gram
-        Gp = pseudo_inverse(G)
-        best = 0.0
-        for u, v in clique_pairs(e.vertices):
-            d = np.zeros(self.n)
-            d[u], d[v] = 1.0, -1.0
-            x = Gp @ d
-            if np.linalg.norm(G @ x - d) > 1e-6 * math.sqrt(2.0):
-                return math.inf
-            best = max(best, e.w * float(d @ x))
-        return best
+        matrix; infinite when a pair straddles sketch components.
+
+        The resistances come from one solve of the Gram matrix plus the
+        projector onto its kernel, on the hyperedge's vertex columns
+        (graph._resistance_solve); the components come from the Gram
+        matrix's nonzero pattern.
+        """
+        u, v = np.array(clique_pairs(e.vertices), dtype=np.intp).T
+        res, straddles = _resistance_solve(self.sampler.sketch.gram, u, v)
+        if straddles.any():
+            return math.inf
+        return e.w * float(res.max())
 
     def _decide(self, e: Hyperedge, p: float, score: float) -> HyperDecision:
         idx = self.seen
@@ -180,6 +183,7 @@ class HyperSamplerState:
     # -- the two sampling rules ----------------------------------------
 
     def step(self, e: Hyperedge) -> HyperDecision:
+        _check_vertices(e, self.n)
         if self.cfg.variant == "balanced":
             return balanced_hyper_sparsify_step(self, e)
         return fast_hyper_sparsify_step(self, e)

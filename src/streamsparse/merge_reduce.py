@@ -147,7 +147,7 @@ class OnlineConfig:
     seed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamPipelineConfig:
     online: OnlineConfig = field(default_factory=OnlineConfig)
     tree: TreeConfig = field(default_factory=lambda: TreeConfig(block_size=256))

@@ -127,8 +127,11 @@ class OnlineSamplerState:
         """Score, decide, and (in self-sketch mode) grow the sketch.
 
         Returns (kept, reweighted row). Decisions are keyed by
-        (seed, arrival index).
+        (seed, arrival index). A row with an endpoint outside [0, n)
+        raises ValueError before any state changes.
         """
+        if not (0 <= row.u < self.n and 0 <= row.v < self.n):
+            raise ValueError(f"row {row} out of range for n={self.n}")
         ell = self.score(row)
         # raw ridge scores on fresh directions are unbounded (up to 2/lam);
         # the running total clamps at 1 to mirror true leverage scores

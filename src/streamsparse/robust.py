@@ -62,7 +62,10 @@ class RobustWrapperState:
         return True
 
     def step(self, e: WeightedEdge) -> Graph:
-        self.inner.process_edge(e)
+        kept, _ = self.inner.process_edge(e)
+        if not kept:
+            # the snapshot, and so the gate's verdict on it, is unchanged
+            return self.exposed
         snapshot = self.inner.finalize()
         eigs = np.sort(np.linalg.eigvalsh(laplacian(snapshot)))
         if not self._within_gate(eigs):

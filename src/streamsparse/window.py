@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .hypergraph import (Hyperedge, Hypergraph, HyperSamplerConfig,
-                         HyperSamplerState, fast_rho)
+                         HyperSamplerState, _check_vertices, fast_rho)
 from .rng import spawn_seed
 
 
@@ -78,6 +78,7 @@ class SlidingWindowState:
     # -- push / query ---------------------------------------------------
 
     def push(self, item: Hyperedge, t: int | None = None) -> None:
+        _check_vertices(item, self.n)
         if t is None:
             t = 0 if self.last_index is None else self.last_index + 1
         if self.last_index is not None and t <= self.last_index:

@@ -11,7 +11,8 @@ from streamsparse import (DisconnectedError, Graph, IncidenceRow,
                           effective_resistance, incidence_matrix, laplacian,
                           leverage, leverages, pseudo_inverse, pseudo_solve,
                           rayleigh_error, ridge_leverage)
-from streamsparse.graph import _accumulate, _columns, _resistance, _stamp
+from streamsparse.graph import (_accumulate, _columns, _components,
+                                _resistance, _resistance_solve, _stamp)
 
 
 def triangle(w=1.0):
@@ -78,6 +79,63 @@ class TestKernel:
         for i, (a, b, _) in enumerate(edges):
             assert got[i] == K[a, a] + K[b, b] - 2.0 * K[a, b]
             assert got[i] == _resistance(K, a, b)
+
+
+@st.composite
+def split_laplacians(draw):
+    """(n, edges, u, v): edges only inside random vertex groups, so there are
+    several components and isolated vertices; few pairs, so pairs repeat.
+    The endpoint arrays u, v may straddle components or coincide."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    group = draw(st.lists(st.integers(min_value=0, max_value=3),
+                          min_size=n, max_size=n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if group[a] == group[b]]
+    edges = []
+    if pairs:
+        weight = st.floats(min_value=1e-2, max_value=1e2)
+        drawn = draw(st.lists(st.tuples(st.sampled_from(pairs), weight),
+                              max_size=3 * n))
+        edges = [WeightedEdge(a, b, w) for (a, b), w in drawn]
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    ends = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=6))
+    u, v = np.array(ends, dtype=np.intp).T
+    return n, edges, u, v
+
+
+def union_find_labels(n, edges):
+    """Oracle: the smallest vertex of each vertex's component."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b, _ in edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return np.array([find(x) for x in range(n)])
+
+
+class TestComponentSolve:
+    @given(split_laplacians())
+    @settings(max_examples=150, deadline=None)
+    def test_components_match_union_find(self, case):
+        n, edges, _, _ = case
+        want = union_find_labels(n, edges)
+        assert np.array_equal(_components(laplacian(Graph(n, edges))), want)
+
+    @given(split_laplacians())
+    @settings(max_examples=150, deadline=None)
+    def test_resistances_match_pseudo_inverse(self, case):
+        n, edges, u, v = case
+        L = laplacian(Graph(n, edges))
+        got, straddles = _resistance_solve(L, u, v)
+        want = _resistance(pseudo_inverse(L), u, v)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        labels = union_find_labels(n, edges)
+        assert np.array_equal(straddles, labels[u] != labels[v])
 
 
 class TestLaplacian:

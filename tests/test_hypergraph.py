@@ -1,14 +1,17 @@
 """Hypergraph energy, clique expansion, quantization, online samplers."""
 
+import itertools
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from streamsparse import (Graph, Hyperedge, Hypergraph, HyperSamplerConfig,
-                          HyperSamplerState, associated_graph, balanced_rho,
-                          fast_rho, hyper_energy, hyper_sparsify, laplacian,
-                          quantize_weight)
+                          HyperSamplerState, IncidenceRow, associated_graph,
+                          balanced_rho, fast_rho, hyper_energy, hyper_sparsify,
+                          laplacian, pseudo_inverse, quantize_weight)
+from streamsparse.graph import _resistance
 
 
 def random_hypergraph(rng, n=8, m=60, r=3):
@@ -37,6 +40,19 @@ class TestTypes:
         for w in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 Hyperedge((0, 1, 2), w)
+
+    def test_add_rejects_out_of_range(self):
+        h = Hypergraph(5)
+        for verts in ((-1, 2), (2, 5)):
+            with pytest.raises(ValueError):
+                h.add(Hyperedge(verts, 1.0))
+        h.add(Hyperedge((0, 4), 1.0))
+        assert [e.vertices for e in h.hyperedges] == [(0, 4)]
+
+    def test_config_is_frozen(self):
+        cfg = HyperSamplerConfig(rho=1.0)
+        with pytest.raises(FrozenInstanceError):
+            cfg.rho = 2.0
 
     def test_rank(self):
         h = Hypergraph(5, [Hyperedge((0, 1), 1.0), Hyperedge((1, 2, 3, 4), 1.0)])
@@ -183,6 +199,38 @@ class TestSamplers:
                 kept += len(state.kept)
             counts.append(kept / 5)
         assert counts[0] < counts[1] < counts[2]
+
+    def test_step_rejects_out_of_range_before_any_change(self):
+        stream = [Hyperedge((0, 1, 2), 1.0), Hyperedge((2, 3), 2.0),
+                  Hyperedge((1, 3, 4), 0.5)]
+        for variant in ("fast", "balanced"):
+            cfg = HyperSamplerConfig(rho=0.5, variant=variant, seed=3)
+            state, fresh = HyperSamplerState(5, cfg), HyperSamplerState(5, cfg)
+            for verts in ((-2, 1), (3, 5)):
+                with pytest.raises(ValueError):
+                    state.step(Hyperedge(verts, 1.0))
+            assert state.seen == 0 and len(state.sampler.sketch) == 0
+            assert [state.step(e) for e in stream] == \
+                   [fresh.step(e) for e in stream]
+
+    def test_pair_scores_infinite_exactly_when_a_pair_straddles(self):
+        # sketch components {0, 1, 2} and {3, 4}; vertex 5 is isolated
+        n = 6
+        state = HyperSamplerState(n, HyperSamplerConfig(rho=1.0))
+        for u, v, w in ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (3, 4, 3.0)):
+            state.sampler.sketch.append(IncidenceRow(u, v, math.sqrt(w)))
+        component = [0, 0, 0, 3, 3, 5]
+        Gp = pseudo_inverse(state.sampler.sketch.gram)
+        for k in (2, 3, 4):
+            for verts in itertools.combinations(range(n), k):
+                e = Hyperedge(verts, 1.5)
+                score = state._pair_scores(e)
+                pairs = list(itertools.combinations(verts, 2))
+                if any(component[a] != component[b] for a, b in pairs):
+                    assert score == math.inf
+                else:
+                    want = e.w * max(_resistance(Gp, a, b) for a, b in pairs)
+                    assert score == pytest.approx(want, rel=1e-12)
 
     def test_determinism(self):
         rng = np.random.default_rng(9)

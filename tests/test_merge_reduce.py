@@ -1,6 +1,7 @@
 """Merge-and-reduce tower structure and the streaming pipeline."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -149,3 +150,8 @@ class TestStreamingPipeline:
         assert cfg.m_hint is None
         fresh = StreamPipelineConfig(tree=TreeConfig(block_size=32))
         assert stream_sparsify(big, cfg).edges == stream_sparsify(big, fresh).edges
+
+    def test_config_is_frozen(self):
+        cfg = StreamPipelineConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.m_hint = 10

@@ -58,6 +58,17 @@ class TestSamplerMechanics:
             G[r.u, r.v] -= w
             G[r.v, r.u] -= w
 
+    def test_rejects_out_of_range_before_any_change(self):
+        g = gen_synthetic(6, 40, seed=2)
+        state = OnlineSamplerState(6, c=0.5, seed=4)
+        fresh = OnlineSamplerState(6, c=0.5, seed=4)
+        for u, v in ((-1, 2), (2, 6)):
+            with pytest.raises(ValueError):
+                state.process_row(IncidenceRow(u, v, 1.0))
+        assert state.kept_count == 0 and state.score_sum == 0.0
+        assert [state.process_edge(e) for e in g.edges] == \
+               [fresh.process_edge(e) for e in g.edges]
+
     def test_kept_edges_reweighted(self):
         state = OnlineSamplerState(3, c=1e9, lam=1.0)
         state.process_edge(WeightedEdge(0, 1, 2.0))

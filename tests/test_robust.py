@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from streamsparse import (AdversaryScript, Graph, Hyperedge,
-                          KernelMismatchError, RobustHyperWrapperState,
-                          RobustWrapperState, WeightedEdge, laplacian,
-                          play_game, rayleigh_error, robust_hyper_step,
-                          robust_step)
+                          KernelMismatchError, OnlineSamplerState,
+                          RobustHyperWrapperState, RobustWrapperState,
+                          WeightedEdge, laplacian, play_game, rayleigh_error,
+                          robust_hyper_step, robust_step)
 from streamsparse.bench import gen_synthetic
 
 
@@ -56,6 +56,43 @@ class TestGate:
         for k in range(10):
             exposed = robust_step(state, WeightedEdge(0, 1, 1.0))
         assert exposed.edges == state.inner.finalize().edges[:exposed.m]
+
+    def test_rejects_out_of_range_before_any_change(self):
+        state = keep_all_state(4, 0.5)
+        fresh = keep_all_state(4, 0.5)
+        with pytest.raises(ValueError):
+            state.step(WeightedEdge(-1, 2, 1.0))
+        edges = [WeightedEdge(0, 1, 1.0), WeightedEdge(1, 2, 2.0),
+                 WeightedEdge(2, 3, 0.5)]
+        for e in edges:
+            assert state.step(e).edges == fresh.step(e).edges
+        assert state.switch_count == fresh.switch_count
+
+
+class TestSkipWhenNothingKept:
+    def test_matches_checking_every_step(self):
+        # an inner sampler with small c keeps few edges; the wrapper skips
+        # the eigen-check on the others and must still switch and expose
+        # exactly what a loop that checks every step does
+        n, eps = 8, 0.5
+        g = gen_synthetic(n, 200, seed=11)
+        state = RobustWrapperState(
+            n, eps, inner=OnlineSamplerState(n, c=0.3, eps=eps / 8, seed=5))
+        ref_inner = OnlineSamplerState(n, c=0.3, eps=eps / 8, seed=5)
+        gate = RobustWrapperState(n, eps)   # holds the reference baseline
+        exposed, switches, skipped = Graph(n, []), 0, 0
+        for e in g.edges:
+            got = state.step(e)
+            kept, _ = ref_inner.process_edge(e)
+            skipped += not kept
+            snapshot = ref_inner.finalize()
+            eigs = np.sort(np.linalg.eigvalsh(laplacian(snapshot)))
+            if not gate._within_gate(eigs):
+                exposed, gate.baseline = snapshot, eigs
+                switches += 1
+            assert state.switch_count == switches
+            assert got.edges == exposed.edges
+        assert skipped > 50 and switches > 1
 
 
 class TestParallelEdgeBound:

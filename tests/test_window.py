@@ -50,6 +50,15 @@ class TestStructure:
         stored = list(st.buffer) + [x for lvl in st.levels if lvl for x in lvl]
         assert sorted(x.index for x in stored) == list(range(7))
 
+    def test_push_rejects_out_of_range_before_any_change(self):
+        state = SlidingWindowState(5, SlidingWindowConfig(block_size=2))
+        for verts in ((-1, 7), (1, 5)):
+            with pytest.raises(ValueError):
+                state.push(Hyperedge(verts, 1.0))
+        assert state.stored() == 0 and state.last_index is None
+        state.push(Hyperedge((1, 4), 1.0))
+        assert [(it.edge.vertices, it.index) for it in state.buffer] == [((1, 4), 0)]
+
     def test_monotone_index_required(self):
         st = identity_state(4, 4)
         sw_push(st, Hyperedge((0, 1), 1.0), t=5)
