@@ -23,6 +23,9 @@ if TYPE_CHECKING:
     from .hypergraph import Hyperedge
 
 
+_TIE_RTOL = 1e-12   # ratios this close to the extreme count as tied
+
+
 class BalanceError(RuntimeError):
     """Shift loop exceeded its iteration cap; carries the last assignment."""
 
@@ -91,6 +94,9 @@ def get_weight_assignment(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
                           cfg: BalanceConfig = BalanceConfig()) -> WeightAssignment:
     """Greedy most-violated-first weight shifting until gamma-balance holds.
 
+    Donor and recipient are the lowest-index pairs whose ratios lie within
+    relative _TIE_RTOL of the smallest positive-weight and the largest ratio.
+
     The shift amount is capped by the donor's remaining weight (keeps all
     weights non-negative and conserves the total); set literal_recipient_cap
     to reproduce the cap by the recipient's weight instead.
@@ -104,9 +110,11 @@ def get_weight_assignment(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
     max_iters = cfg.max_iters if cfg.max_iters is not None else 10_000 * len(pairs)
     for _ in range(max_iters):
         q = _pair_ratios(base, pairs, z)
-        positive = z > 0
-        qmin_idx = int(np.where(positive, q, np.inf).argmin())
-        qmax_idx = int(q.argmax())
+        q_pos = np.where(z > 0, q, np.inf)
+        # among ratios tied with the extreme up to rounding, the lowest
+        # pair index wins, so ulp noise in the solve cannot pick the pair
+        qmin_idx = int(np.argmax(q_pos <= q_pos.min() * (1.0 + _TIE_RTOL)))
+        qmax_idx = int(np.argmax(q >= q.max() * (1.0 - _TIE_RTOL)))
         if gamma_ok(q[qmax_idx], q[qmin_idx], cfg.gamma) or qmax_idx == qmin_idx:
             break
         cap_z = z[qmax_idx] if cfg.literal_recipient_cap else z[qmin_idx]

@@ -52,25 +52,40 @@ class MergeReduceTree:
         self.peak_resident = 0
         self.version = 0            # bumped on every gram change (for sketch users)
         self.last_delta: WeightedEdge | None = None   # set when the change was one push
-        self._gram = np.zeros((n, n))
+        self._resident = 0          # len(buffer) + sum of level lengths
+        self._gram: np.ndarray | None = None   # built on first read after a carry
+        self._gram_builds = 0
 
     # -- resident accounting -------------------------------------------
 
     def resident(self) -> int:
-        return len(self.buffer) + sum(len(c) for c in self.levels if c)
+        return self._resident
 
     def _note_peak(self, extra: int = 0) -> None:
-        self.peak_resident = max(self.peak_resident, self.resident() + extra)
+        self.peak_resident = max(self.peak_resident, self._resident + extra)
 
     # -- sketch provider interface -------------------------------------
 
     def gram(self) -> np.ndarray:
-        """Gram matrix of the current sparsifier's incidence rows."""
+        """Gram matrix of the current sparsifier's incidence rows.
+
+        Built from the resident items on the first read after a carry;
+        pushes then stamp into it. _accumulate adds in _iter_items order,
+        the order the stamps arrive in, so the bits do not depend on when
+        it is read."""
+        if self._gram is None:
+            self._gram = _accumulate(np.zeros((self.n, self.n)),
+                                     *_columns(list(self._iter_items())))
+            self._gram_builds += 1
         return self._gram
 
-    def _rebuild_gram(self) -> None:
-        self._gram = _accumulate(np.zeros((self.n, self.n)),
-                                 *_columns(list(self._iter_items())))
+    def stats(self) -> dict:
+        """Counters of this tower, as a plain dict: items pushed, merges,
+        items resident now and at peak, and Gram builds."""
+        return {"pushed": self.pushed, "merges": self.merges,
+                "resident": self._resident,
+                "peak_resident": self.peak_resident,
+                "gram_builds": self._gram_builds}
 
     # -- tower mechanics -----------------------------------------------
 
@@ -85,31 +100,37 @@ class MergeReduceTree:
     def push(self, item: WeightedEdge) -> None:
         self.buffer.append(item)
         self.pushed += 1
-        _stamp(self._gram, item.u, item.v, item.w)
+        self._resident += 1
+        if self._gram is not None:
+            _stamp(self._gram, item.u, item.v, item.w)
         self.version += 1
         self.last_delta = item
         self._note_peak()
         if len(self.buffer) >= self.cfg.block_size:
             block = self.buffer
             self.buffer = []
+            self._resident -= len(block)
             self._carry(block)
 
     def _carry(self, coreset: list[WeightedEdge]) -> None:
+        # the block in hand and the level being merged are not resident
         lvl = 0
         while True:
             if lvl >= len(self.levels):
                 self.levels.append(None)
             if self.levels[lvl] is None:
                 self.levels[lvl] = coreset
+                self._resident += len(coreset)
                 break
             merged = self.levels[lvl] + coreset
+            self._resident -= len(self.levels[lvl])
             self.levels[lvl] = None
             self._note_peak(extra=len(merged) - len(coreset))
             coreset = self._reduce(merged)
             lvl += 1
         self.version += 1
         self.last_delta = None
-        self._rebuild_gram()
+        self._gram = None
         self._note_peak()
 
     def _iter_items(self):

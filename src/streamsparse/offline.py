@@ -38,9 +38,6 @@ def er_sparsify(g: Graph, cfg: OfflineSampleConfig,
     regardless of iteration strategy.
     """
     p = keep_probabilities(g, cfg.rho, solver)
-    draws = UniformByIndex(cfg.seed)
-    kept: list[WeightedEdge] = []
-    for i, e in enumerate(g.edges):
-        if draws.uniform(i) < p[i]:
-            kept.append(WeightedEdge(e.u, e.v, e.w / p[i]))
-    return Graph(g.n, kept)
+    keep = UniformByIndex(cfg.seed).uniform_many(np.arange(g.m)) < p
+    return Graph(g.n, [WeightedEdge(e.u, e.v, e.w / p[i])
+                       for i, e in enumerate(g.edges) if keep[i]])

@@ -2,8 +2,11 @@
 
 Maintains a 2-approximate spectral sketch of the prefix incidence matrix and
 keeps each arriving row with probability min(c * score, 1). The inverse of
-(Gram + lam I) is maintained by rank-1 updates, so scoring a row is O(1) and
-a kept row costs O(n^2).
+(Gram + lam I) is kept as a refreshed inverse K0 minus up to _BLOCK pending
+rank-1 terms (delayed Sherman-Morrison): a kept row costs O(n * _BLOCK)
+matrix-vector work, and every _BLOCK kept rows fold into K0 with one
+matrix product (O(n^2) per row amortised, at matrix-matrix speed). Scoring
+a row reads three entries of K0 and two rows of the pending block.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from .graph import (Graph, IncidenceRow, SpectralSketch, WeightedEdge,
                     _resistance, _stamp, pseudo_inverse)
 from .rng import UniformByIndex
 
-_REFRESH_EVERY = 512
+_REFRESH_EVERY = 512   # folds between full inverse refreshes
+_BLOCK = 32            # pending rank-1 terms folded into K0 by one GEMM
 
 
 def default_c(m: int, eps: float = 1.0, alpha: float = 4.0) -> float:
@@ -61,9 +65,19 @@ class OnlineSamplerState:
         self._fixed_lam = lam
         self._w_min = math.inf
         self.lam = lam if lam is not None else 1.0
-        self._inv: np.ndarray | None = None
+        # (G + lam I)^{-1} = K0 - Y Y^T; the columns of Y past the
+        # _pending ones are zero
+        self._inv: np.ndarray | None = None          # K0
+        self._Y = np.zeros((n, _BLOCK))
+        self._pending = 0
         self._provider_version = -1
         self._updates_since_refresh = 0
+        self._scored = 0
+        self._folds = 0
+        self._block_folds = 0
+        self._refreshes = 0
+        self._lambda_shrinks = 0
+        self._drift = 0.0
 
     # -- sketch inverse bookkeeping ------------------------------------
 
@@ -72,12 +86,27 @@ class OnlineSamplerState:
             return self.provider.gram()
         return self.sketch.gram
 
-    def _refresh_inverse(self) -> None:
-        G = self._scoring_gram()
-        self._inv = np.linalg.inv(G + self.lam * np.eye(self.n))
+    def _refresh_inverse(self, check_drift: bool = False) -> None:
+        """Recompute K0 from the scoring Gram matrix and drop the pending
+        block. check_drift first records max |K (G + lam I) - I| of the
+        inverse being replaced."""
+        A = self._scoring_gram() + self.lam * np.eye(self.n)
+        if check_drift:
+            R = self._effective_inverse() @ A - np.eye(self.n)
+            self._drift = max(self._drift, float(np.abs(R).max()))
+        self._inv = np.linalg.inv(A)
+        self._Y.fill(0.0)
+        self._pending = 0
         self._updates_since_refresh = 0
+        self._refreshes += 1
+
+    def _effective_inverse(self) -> np.ndarray:
+        """The maintained inverse K0 - Y Y^T as a dense matrix."""
+        return self._inv - self._Y @ self._Y.T
 
     def _inverse(self) -> np.ndarray:
+        """K0, after syncing with the provider; the pending block still
+        applies on top of it."""
         if self.provider is not None:
             ver = self.provider.version
             if ver != self._provider_version:
@@ -102,26 +131,47 @@ class OnlineSamplerState:
         if w < self._w_min:
             self._w_min = w
             self.lam = self.eps * self._w_min / (self.n * self.n)
+            self._lambda_shrinks += 1
             self._inv = None  # lambda moved; rebuild lazily
 
     def _rank1_update(self, u: int, v: int, t: float) -> None:
-        """Fold t * (chi_u - chi_v)(chi_u - chi_v)^T into the inverse."""
-        K = self._inverse()
-        kd = K[:, u] - K[:, v]
-        denom = 1.0 + t * (kd[u] - kd[v])
-        K -= (t / denom) * np.outer(kd, kd)
+        """Fold t * d d^T, d = chi_u - chi_v, into the inverse by delayed
+        Sherman-Morrison. With K = K0 - Y Y^T the current inverse, the new
+        term is beta z z^T for z = K d = K0 d - Y (Y^T d) and
+        beta = t / (1 + t d^T z); it is appended as the column
+        sqrt(beta) z of Y, in O(n * _BLOCK). A full Y folds into K0 as
+        K0 -= Y Y^T, one GEMM; every _REFRESH_EVERY folds K0 is recomputed
+        from the Gram matrix instead."""
+        K0 = self._inverse()
+        Y = self._Y
+        z = K0[:, u] - K0[:, v]
+        if self._pending:
+            z -= Y @ (Y[u] - Y[v])
+        Y[:, self._pending] = z * math.sqrt(t / (1.0 + t * (z[u] - z[v])))
+        self._pending += 1
+        self._folds += 1
         self._updates_since_refresh += 1
         if self._updates_since_refresh >= _REFRESH_EVERY:
-            self._refresh_inverse()
+            self._refresh_inverse(check_drift=True)
+        elif self._pending == _BLOCK:
+            K0 -= Y @ Y.T
+            Y.fill(0.0)
+            self._pending = 0
+            self._block_folds += 1
 
     # -- public API ----------------------------------------------------
 
     def score(self, row: IncidenceRow) -> float:
         """Ridge leverage a^T (G + lam I)^{-1} a against the current sketch."""
         self._maybe_shrink_lambda(row.scale * row.scale)
-        K = self._inverse()
+        K0 = self._inverse()
+        self._scored += 1
         u, v, s = row
-        return s * s * _resistance(K, u, v)
+        r = _resistance(K0, u, v)
+        if self._pending:
+            dy = self._Y[u] - self._Y[v]
+            r -= dy @ dy
+        return s * s * r
 
     def process_row(self, row: IncidenceRow) -> tuple[bool, IncidenceRow | None]:
         """Score, decide, and (in self-sketch mode) grow the sketch.
@@ -160,6 +210,17 @@ class OnlineSamplerState:
         out = WeightedEdge(e.u, e.v, e.w / self.last_p)
         self.kept_edges[-1] = out
         return True, out
+
+    def stats(self) -> dict:
+        """Counters of this sampler, as a plain dict: rows scored and kept,
+        rank-1 folds, block folds (one GEMM each), full inverse refreshes,
+        lambda shrinks, and drift, the largest max |K (G + lam I) - I|
+        measured just before a periodic (every _REFRESH_EVERY folds)
+        refresh, 0.0 before the first."""
+        return {"scored": self._scored, "kept": self.kept_count,
+                "folds": self._folds, "block_folds": self._block_folds,
+                "refreshes": self._refreshes,
+                "lambda_shrinks": self._lambda_shrinks, "drift": self._drift}
 
     def finalize(self) -> Graph:
         """Snapshot of the sampled reweighted edges, in arrival order.

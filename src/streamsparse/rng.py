@@ -35,6 +35,18 @@ class UniformByIndex:
             raise ValueError("index must be non-negative")
         return float(self._chunk(i // _CHUNK)[i % _CHUNK])
 
+    def uniform_many(self, indices) -> np.ndarray:
+        """float64 array of uniform(i) for every i in indices, any order."""
+        idx = np.asarray(indices, dtype=np.int64).ravel()
+        if idx.size and idx.min() < 0:
+            raise ValueError("index must be non-negative")
+        chunk, offset = np.divmod(idx, _CHUNK)
+        out = np.empty(idx.size)
+        for c in np.unique(chunk):
+            at = chunk == c
+            out[at] = self._chunk(int(c))[offset[at]]
+        return out
+
 
 def spawn_seed(*key: int) -> int:
     """Derive a child seed from a tuple of integers, stable across runs."""

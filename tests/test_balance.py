@@ -8,6 +8,7 @@ import pytest
 from streamsparse import (BalanceConfig, Graph, IncidenceRow, SpectralSketch,
                           WeightedEdge, get_weight_assignment, Hyperedge,
                           is_balanced, st_potential)
+from streamsparse import balance
 from streamsparse.balance import augmented_graph, clique_pairs, _pair_ratios
 
 
@@ -125,3 +126,39 @@ class TestAssignment:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             BalanceConfig(gamma=1.0)
+
+
+class TestTieBreak:
+    @staticmethod
+    def _moves(assignment):
+        """(donor, recipient) pair indices of every shift in the trace."""
+        steps = np.diff(np.array(assignment.trace), axis=0)
+        return [(int(d.argmin()), int(d.argmax())) for d in steps]
+
+    def test_ulp_noise_does_not_pick_between_tied_pairs(self, monkeypatch):
+        # the reflection i -> 4 - i maps a 5-vertex path sketch onto itself
+        # and the clique of {0, 1, 3, 4} onto itself, swapping pairs
+        # (0,1) <-> (3,4) and (0,3) <-> (1,4): their ratios tie in exact
+        # arithmetic at every shift, and the donor or recipient is often
+        # one of a tied couple
+        sk = SpectralSketch(5)
+        for i in range(4):
+            sk.append(IncidenceRow(i, i + 1, 1.0))
+        e = Hyperedge((0, 1, 3, 4), 1.0)
+        cfg = BalanceConfig(gamma=1.2)
+        want = get_weight_assignment(sk, e, cfg)
+        moves = self._moves(want)
+        assert len(moves) > 1
+        exact = _pair_ratios
+        ulp = np.finfo(float).eps
+        for sign in (1.0, -1.0):
+            for k in (1, 3, 8):
+                noise = sign * k * ulp * np.array([1, -1, 0, 1, -1, 0])
+
+                def noisy(base, pairs, z, noise=noise):
+                    return exact(base, pairs, z) * (1.0 + noise)
+
+                monkeypatch.setattr(balance, "_pair_ratios", noisy)
+                got = get_weight_assignment(sk, e, cfg)
+                assert self._moves(got) == moves
+                assert np.allclose(got.z, want.z, rtol=1e-9)

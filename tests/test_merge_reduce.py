@@ -5,12 +5,15 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamsparse import (Graph, MergeReduceTree, OnlineConfig,
                           StreamPipelineConfig, StreamSparsifier, TreeConfig,
                           WeightedEdge, eps_per_level, laplacian, mr_sparsify,
                           rayleigh_error, stream_sparsify)
 from streamsparse.bench import gen_synthetic
+
+from test_graph import edge_lists
 
 
 def unit_edges(k):
@@ -66,6 +69,60 @@ class TestSpaceAccounting:
         _, tree = mr_sparsify(g, TreeConfig(block_size=M))
         cap = (tree.height + 2) * M + 2 * M
         assert tree.peak_resident <= cap
+
+
+    def test_peak_matches_recount(self):
+        class RecountTree(MergeReduceTree):
+            """Also tracks the peak by recounting buffer and levels."""
+            ref_peak = 0
+
+            def _note_peak(self, extra=0):
+                recount = len(self.buffer) + sum(len(c) for c in self.levels if c)
+                self.ref_peak = max(self.ref_peak, recount + extra)
+                super()._note_peak(extra)
+
+        g = gen_synthetic(20, 2000, seed=2)
+        for M in (1, 7, 64):
+            tree = RecountTree(g.n, TreeConfig(block_size=M, seed=M))
+            for e in g.edges:
+                tree.push(e)
+            assert tree.merges > 0
+            assert tree.peak_resident == tree.ref_peak
+
+
+class TestLazyGram:
+    @given(edge_lists(), st.integers(min_value=1, max_value=7), st.booleans(),
+           st.integers(min_value=0, max_value=5))
+    @settings(max_examples=100, deadline=None)
+    def test_resident_and_gram_match_recount(self, case, block, identity,
+                                             read_every):
+        # read_every = 0 reads the Gram matrix only at the end
+        n, edges = case
+        tree = MergeReduceTree(n, TreeConfig(
+            block_size=block, seed=5, identity_reducer=identity))
+        for i, e in enumerate(edges):
+            tree.push(e)
+            assert tree.resident() == (len(tree.buffer)
+                                       + sum(len(c) for c in tree.levels if c))
+            if read_every and i % read_every == 0:
+                assert np.array_equal(tree.gram(), laplacian(tree.sparsifier()))
+        if not read_every:
+            assert tree.stats()["gram_builds"] == 0
+        assert np.array_equal(tree.gram(), laplacian(tree.sparsifier()))
+
+    def test_unread_gram_is_never_built(self):
+        g = gen_synthetic(10, 500, seed=1)
+        _, tree = mr_sparsify(g, TreeConfig(block_size=32))
+        assert tree.stats() == {"pushed": 500, "merges": tree.merges,
+                                "resident": tree.resident(),
+                                "peak_resident": tree.peak_resident,
+                                "gram_builds": 0}
+        pipe = StreamSparsifier(g.n, StreamPipelineConfig(
+            online=OnlineConfig(c=5.0), tree=TreeConfig(block_size=32),
+            m_hint=g.m))
+        for e in g.edges:
+            pipe.push(e)
+        assert pipe.tree.stats()["gram_builds"] == 0
 
 
 class TestEpsPerLevel:

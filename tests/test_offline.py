@@ -6,6 +6,8 @@ import pytest
 from streamsparse import (Graph, OfflineSampleConfig, WeightedEdge,
                           er_sparsify, keep_probabilities, laplacian,
                           rayleigh_error)
+from streamsparse.bench import gen_synthetic
+from streamsparse.rng import UniformByIndex
 
 from test_graph import random_connected
 
@@ -71,3 +73,16 @@ def test_disconnected_input_supported():
     # both component edges are bridges, so each has p = 1 (up to rounding)
     assert [(e.u, e.v) for e in out.edges] == [(0, 1), (2, 3)]
     assert np.allclose([e.w for e in out.edges], 1.0)
+
+
+def test_matches_scalar_draw_loop():
+    # reference: one keyed scalar draw per edge; output must be bit-identical
+    g = gen_synthetic(30, 9000, seed=4)     # the draws span three chunks
+    for rho, seed in ((0.5, 1), (3.0, 2), (40.0, 3)):
+        p = keep_probabilities(g, rho)
+        draws = UniformByIndex(seed)
+        want = [WeightedEdge(e.u, e.v, e.w / p[i])
+                for i, e in enumerate(g.edges) if draws.uniform(i) < p[i]]
+        got = er_sparsify(g, OfflineSampleConfig(rho, seed)).edges
+        assert 0 < len(got) < g.m
+        assert got == want

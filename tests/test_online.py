@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamsparse import (Graph, IncidenceRow, OnlineSamplerState,
-                          WeightedEdge, default_c, exact_online_leverages,
-                          laplacian, leverages, online_sparsify,
-                          rayleigh_error)
+from streamsparse import (Graph, IncidenceRow, OnlineConfig,
+                          OnlineSamplerState, StreamPipelineConfig,
+                          StreamSparsifier, TreeConfig, WeightedEdge,
+                          default_c, exact_online_leverages, laplacian,
+                          leverages, online_sparsify, rayleigh_error)
 from streamsparse.bench import gen_synthetic
+from streamsparse.online import _BLOCK, _REFRESH_EVERY
 
 from test_graph import random_connected
 
@@ -139,3 +142,92 @@ class TestProviderMode:
         a = row.dense(8)
         want = a @ np.linalg.solve(G + 0.5 * np.eye(8), a)
         assert state.score(row) == pytest.approx(want, rel=1e-8)
+
+
+def _assert_inverse_exact(state):
+    """The maintained inverse (K0 minus the pending block) equals a dense
+    inverse of the scoring Gram matrix plus lam I."""
+    state._inverse()        # take in the provider's latest change
+    want = np.linalg.inv(state._scoring_gram() + state.lam * np.eye(state.n))
+    got = state._effective_inverse()
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def _shrinking_stream(seed, n, head, tail):
+    """head + tail edges with weights U(1, 10), except that edge `head`
+    weighs 1/2, so a free lambda shrinks there and not after it."""
+    rng = np.random.default_rng(seed)
+    m = head + tail
+    w = rng.uniform(1.0, 10.0, m)
+    w[head] = 0.5
+    u = rng.integers(0, n, m)
+    v = (u + rng.integers(1, n, m)) % n
+    return [WeightedEdge(int(a), int(b), float(x)) for a, b, x in zip(u, v, w)]
+
+
+class TestBlockedInverse:
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=_BLOCK + 1, max_value=2 * _BLOCK),
+           st.integers(min_value=2 * _BLOCK + 1, max_value=3 * _BLOCK + 5))
+    @settings(max_examples=25, deadline=None)
+    def test_self_sketch(self, seed, head, tail):
+        state = OnlineSamplerState(7, c=1e9, seed=seed)    # keeps every row
+        for e in _shrinking_stream(seed, 7, head, tail):
+            state.process_edge(e)
+            _assert_inverse_exact(state)
+        s = state.stats()
+        assert s["lambda_shrinks"] >= 2 and s["block_folds"] >= 2
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=2 * _BLOCK + 1, max_value=3 * _BLOCK))
+    @settings(max_examples=15, deadline=None)
+    def test_provider_tower(self, seed, block):
+        cfg = StreamPipelineConfig(
+            online=OnlineConfig(c=1e9, seed=seed),
+            tree=TreeConfig(block_size=block, seed=seed), use_tree_sketch=True)
+        pipe = StreamSparsifier(7, cfg)
+        for e in _shrinking_stream(seed, 7, block + 3, 2 * block):
+            pipe.push(e)
+            _assert_inverse_exact(pipe.sampler)
+        s = pipe.sampler.stats()
+        assert s["lambda_shrinks"] >= 2 and s["block_folds"] >= 2
+        assert pipe.tree.merges >= 1
+
+
+class TestStats:
+    def test_self_sketch_counters_add_up(self):
+        g = gen_synthetic(10, 3000, seed=3)
+        state = OnlineSamplerState(10, c=40.0, lam=0.05, seed=1)
+        for e in g.edges:
+            state.process_edge(e)
+        s = state.stats()
+        assert s["scored"] == g.m
+        assert s["folds"] == s["kept"] == state.kept_count
+        assert _REFRESH_EVERY < s["kept"] < g.m
+        assert s["lambda_shrinks"] == 0
+        # with lambda fixed nothing interrupts the folds: a refresh replaces
+        # every _REFRESH_EVERY-th fold and a GEMM every other full block
+        assert s["refreshes"] == 1 + s["folds"] // _REFRESH_EVERY
+        assert s["block_folds"] == (s["folds"] // _BLOCK
+                                    - s["folds"] // _REFRESH_EVERY)
+        assert 0.0 < s["drift"] < 1e-8
+
+    def test_provider_counters_add_up(self):
+        g = gen_synthetic(20, 3000, seed=4)
+        cfg = StreamPipelineConfig(
+            online=OnlineConfig(c=20.0, seed=2), tree=TreeConfig(block_size=100),
+            use_tree_sketch=True, m_hint=g.m)
+        pipe = StreamSparsifier(g.n, cfg)
+        for e in g.edges:
+            pipe.push(e)
+        pipe.sampler.score(IncidenceRow(0, 1, 10.0))   # takes in the last push
+        s, t = pipe.sampler.stats(), pipe.tree.stats()
+        assert s["scored"] == g.m + 1
+        assert s["kept"] <= g.m and t["pushed"] == s["kept"]
+        # every kept row reached the inverse as a fold or inside a refresh
+        assert s["folds"] <= s["kept"] <= s["folds"] + s["refreshes"]
+        assert s["drift"] == 0.0 or s["folds"] >= _REFRESH_EVERY
+        # one Gram build up front and one after each carry
+        assert t["merges"] == pipe.tree.merges > 0
+        assert t["gram_builds"] == 1 + t["pushed"] // 100
+        assert t["resident"] == pipe.tree.resident() <= t["peak_resident"]

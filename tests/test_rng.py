@@ -1,8 +1,10 @@
 """Counter-based RNG: index addressing must be stable and order-free."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamsparse.rng import UniformByIndex, spawn_seed
+from streamsparse.rng import _CHUNK, UniformByIndex, spawn_seed
 
 
 def test_order_independent():
@@ -37,3 +39,26 @@ def test_spawn_seed_stable_and_distinct():
     assert spawn_seed(1, 2, 3) == spawn_seed(1, 2, 3)
     assert spawn_seed(1, 2) != spawn_seed(2, 1)
     assert spawn_seed(7, 0) != spawn_seed(7, 1)
+
+
+# indices anywhere in the first few chunks, or within 3 of a chunk boundary
+_index = st.one_of(
+    st.integers(min_value=0, max_value=4 * _CHUNK),
+    st.builds(lambda c, d: max(0, c * _CHUNK + d),
+              st.integers(min_value=0, max_value=4),
+              st.integers(min_value=-3, max_value=3)))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.lists(_index, max_size=300))
+@settings(max_examples=60, deadline=None)
+def test_uniform_many_equals_scalar_calls(seed, indices):
+    got = UniformByIndex(seed).uniform_many(indices)
+    scalar = UniformByIndex(seed)
+    assert got.dtype == np.float64
+    assert got.tolist() == [scalar.uniform(i) for i in indices]
+
+
+def test_uniform_many_rejects_negative_index():
+    with pytest.raises(ValueError):
+        UniformByIndex(0).uniform_many([3, -1])
