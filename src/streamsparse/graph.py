@@ -177,6 +177,71 @@ def _resistance_solve(G: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
     return _resistance(K, idx[:len(u)], idx[len(u):]), labels[u] != labels[v]
 
 
+class _GroundedInverse:
+    """M = (G + Q)^{-1} for the Gram matrix G of a growing SpectralSketch,
+    with Q = sum_r e_r e_r^T grounding every component of G at one root
+    vertex, plus component labels (each vertex's root; roots label
+    themselves). For u, v in one component, d_uv^T M d_uv = d_uv^T G^+ d_uv,
+    so a resistance is an O(1) gather _resistance(M, u, v).
+
+    sync() folds the sketch rows appended since the last call, in order:
+    a row inside a component is a Sherman-Morrison update, a row joining
+    two components an exact rank-2 update that drops the smaller one's
+    root. A sync that brings the folds since the last refresh to
+    refresh_every ends by recomputing M as inv(G + Q).
+    """
+
+    def __init__(self, n: int, refresh_every: int):
+        self.M = np.eye(n)                  # G = 0: every vertex a root
+        self.labels = np.arange(n)
+        self._size = np.ones(n, dtype=np.intp)  # component size by root
+        self._refresh_every = refresh_every
+        self._since_refresh = 0
+        self.folds = 0
+        self.joins = 0
+        self.refreshes = 0
+        self.drift = 0.0
+
+    def sync(self, sketch: SpectralSketch) -> None:
+        for u, v, s in sketch.rows[self.folds:]:
+            self._fold(u, v, s * s)
+        if self._since_refresh >= self._refresh_every:
+            self._refresh(sketch.gram)
+
+    def _fold(self, u: int, v: int, t: float) -> None:
+        """Fold t d d^T, d = e_u - e_v, into M."""
+        M, labels = self.M, self.labels
+        z = M[:, u] - M[:, v]
+        a, b = labels[u], labels[v]
+        if a == b:
+            M -= (t / (1.0 + t * (z[u] - z[v]))) * np.outer(z, z)
+        else:
+            # join: B = the smaller component, v in B; B's root b leaves Q.
+            # M is block diagonal, M e_b = 1_B, and the new inverse is
+            # M + z 1_B^T + 1_B z^T + c 1_B 1_B^T with c = M_uu + M_vv + 1/t
+            if self._size[a] < self._size[b]:
+                u, v, a, b, z = v, u, b, a, -z
+            c = M[u, u] + M[v, v] + 1.0 / t
+            B = np.flatnonzero(labels == b)
+            M[:, B] += z[:, None]
+            M[B] += z
+            M[np.ix_(B, B)] += c
+            labels[B] = a
+            self._size[a] += self._size[b]
+            self.joins += 1
+        self.folds += 1
+        self._since_refresh += 1
+
+    def _refresh(self, G: np.ndarray) -> None:
+        """Recompute M from G, first recording max |M (G + Q) - I|."""
+        n = G.shape[0]
+        A = G + np.diag((self.labels == np.arange(n)).astype(float))
+        self.drift = max(self.drift, float(np.abs(self.M @ A - np.eye(n)).max()))
+        self.M = np.linalg.inv(A)
+        self._since_refresh = 0
+        self.refreshes += 1
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Dense weighted Laplacian; multi-edges add up."""
     return _accumulate(np.zeros((g.n, g.n)), *_columns(g.edges))

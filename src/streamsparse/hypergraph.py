@@ -5,7 +5,10 @@ Q(x) = sum_e w(e) * max_{u,v in e} (x_u - x_v)^2. Two online sampling rules
 are provided. The fast variant scores each hyperedge by the largest sketch
 resistance over its clique pairs; the balanced variant first splits the
 hyperedge weight across its pairs with a balanced assignment, which brings
-the sample count down at the cost of running the balancing loop.
+the sample count down at the cost of running the balancing loop. Both read
+the resistances from a grounded inverse of the sketch Gram matrix that is
+kept up row by row (O(n^2) per kept sketch row), so scoring a hyperedge is
+an O(r^2) gather.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .balance import BalanceConfig, clique_pairs, get_weight_assignment
-from .graph import Graph, IncidenceRow, WeightedEdge, _resistance_solve
-from .online import OnlineSamplerState, default_c
+from .graph import (Graph, IncidenceRow, WeightedEdge, _GroundedInverse,
+                    _resistance)
+from .online import _REFRESH_EVERY, OnlineSamplerState, default_c
 from .rng import UniformByIndex, spawn_seed
 
 
@@ -40,6 +44,19 @@ class Hyperedge:
     @property
     def size(self) -> int:
         return len(self.vertices)
+
+
+def _rescaled(e: Hyperedge, factor: float) -> Hyperedge:
+    """e with its weight multiplied by factor. The vertex tuple is reused
+    as it is (already sorted, distinct and range-checked); only the new
+    weight is checked."""
+    w = e.w * factor
+    if not 0 < w < math.inf:
+        raise ValueError("hyperedge weight must be positive and finite")
+    out = object.__new__(Hyperedge)
+    object.__setattr__(out, "vertices", e.vertices)
+    object.__setattr__(out, "w", w)
+    return out
 
 
 def _check_vertices(e: Hyperedge, n: int) -> None:
@@ -154,6 +171,7 @@ class HyperSamplerState:
         self.seen = 0
         self._draws = UniformByIndex(cfg.seed)
         self._balance = BalanceConfig(gamma=cfg.gamma)
+        self._inverse = _GroundedInverse(n, _REFRESH_EVERY)
 
     # -- pair scoring against the sketch -------------------------------
 
@@ -161,16 +179,16 @@ class HyperSamplerState:
         """max over clique pairs of w(e) * resistance on the sketch Gram
         matrix; infinite when a pair straddles sketch components.
 
-        The resistances come from one solve of the Gram matrix plus the
-        projector onto its kernel, on the hyperedge's vertex columns
-        (graph._resistance_solve); the components come from the Gram
-        matrix's nonzero pattern.
+        Sketch rows not yet folded into the grounded inverse are folded
+        first (graph._GroundedInverse, O(n^2) each); then the resistances
+        are an O(r^2) gather and the straddle test a label comparison.
         """
+        inv = self._inverse
+        inv.sync(self.sampler.sketch)
         u, v = np.array(clique_pairs(e.vertices), dtype=np.intp).T
-        res, straddles = _resistance_solve(self.sampler.sketch.gram, u, v)
-        if straddles.any():
+        if (inv.labels[u] != inv.labels[v]).any():
             return math.inf
-        return e.w * float(res.max())
+        return e.w * float(_resistance(inv.M, u, v).max())
 
     def _decide(self, e: Hyperedge, p: float, score: float) -> HyperDecision:
         idx = self.seen
@@ -191,9 +209,20 @@ class HyperSamplerState:
     def sparsifier(self) -> Hypergraph:
         """Kept hyperedges with weights scaled by 1/p, in arrival order."""
         out = Hypergraph(self.n)
-        for e, factor in self.kept:
-            out.add(Hyperedge(e.vertices, e.w * factor))
+        out.hyperedges = [_rescaled(e, factor) for e, factor in self.kept]
         return out
+
+    def stats(self) -> dict:
+        """Counters of this sampler, as a plain dict: hyperedges seen and
+        kept; sketch rows folded into the grounded inverse, the folds that
+        joined two components, full refreshes, and drift, the largest
+        max |M (G + Q) - I| measured just before a refresh (0.0 before the
+        first); and the inner row sampler's stats() under "sampler"."""
+        inv = self._inverse
+        return {"seen": self.seen, "kept": len(self.kept),
+                "folds": inv.folds, "joins": inv.joins,
+                "refreshes": inv.refreshes, "drift": inv.drift,
+                "sampler": self.sampler.stats()}
 
 
 def fast_hyper_sparsify_step(state: HyperSamplerState,

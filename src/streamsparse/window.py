@@ -1,21 +1,22 @@
 """Sliding-window sparsification over a reversed-stream coreset tower.
 
-New items are prepended to a raw buffer, so every stored level reads most
-recent first. When the buffer fills, everything below the first empty level
-is run through the online hyperedge sampler as one synthetic stream and the
-result parked at that level. Because online coresets are valid on every
+New items go to the front of a raw buffer (a deque, so a push is O(1)),
+so every stored level reads most recent first. When the buffer fills,
+everything below the first empty level is run through the online hyperedge
+sampler as one synthetic stream and the result parked at that level. Because online coresets are valid on every
 prefix and the stream is reversed, any suffix window of the original stream
 can be answered by filtering stored items on their original index.
 """
 
 from __future__ import annotations
 
-import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .hypergraph import (Hyperedge, Hypergraph, HyperSamplerConfig,
-                         HyperSamplerState, _check_vertices, fast_rho)
+                         HyperSamplerState, _check_vertices, _rescaled,
+                         fast_rho)
 from .rng import spawn_seed
 
 
@@ -45,7 +46,7 @@ class SlidingWindowState:
     def __init__(self, n: int, cfg: SlidingWindowConfig):
         self.n = n
         self.cfg = cfg
-        self.buffer: list[StoredItem] = []           # reverse arrival order
+        self.buffer: deque[StoredItem] = deque()     # reverse arrival order
         self.levels: list[list[StoredItem] | None] = []
         self.last_index: int | None = None
         self.carries = 0
@@ -68,8 +69,7 @@ class SlidingWindowState:
             rho=rho, eps=self.cfg.eps, seed=seed, m_hint=max(rows, 2)))
         out: list[StoredItem] = []
         for it in items:
-            effective = Hyperedge(it.edge.vertices, it.edge.w * it.factor)
-            decision = state.step(effective)
+            decision = state.step(_rescaled(it.edge, it.factor))
             if decision.kept:
                 out.append(StoredItem(it.edge, it.index,
                                       it.factor / decision.p))
@@ -85,7 +85,7 @@ class SlidingWindowState:
             raise ValueError("stream indices must be strictly increasing")
         self.last_index = t
         if len(self.buffer) < self.cfg.block_size:
-            self.buffer.insert(0, StoredItem(item, t, 1.0))
+            self.buffer.appendleft(StoredItem(item, t, 1.0))
             return
         # buffer is full: compact everything below the first empty level
         stream = list(self.buffer)
@@ -98,7 +98,7 @@ class SlidingWindowState:
             self.levels.append(None)
         self.levels[lvl] = self._coreset(stream)
         self.carries += 1
-        self.buffer = [StoredItem(item, t, 1.0)]
+        self.buffer = deque([StoredItem(item, t, 1.0)])
 
     def query(self, window: int, literal_union: bool = False) -> Hypergraph:
         """Sparsifier of the last `window` items, in original arrival order.
@@ -117,8 +117,7 @@ class SlidingWindowState:
             items = [it for it in items if it.index >= low]
         items.sort(key=lambda it: it.index)
         out = Hypergraph(self.n)
-        for it in items:
-            out.add(Hyperedge(it.edge.vertices, it.edge.w * it.factor))
+        out.hyperedges = [_rescaled(it.edge, it.factor) for it in items]
         return out
 
 

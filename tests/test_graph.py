@@ -11,8 +11,9 @@ from streamsparse import (DisconnectedError, Graph, IncidenceRow,
                           effective_resistance, incidence_matrix, laplacian,
                           leverage, leverages, pseudo_inverse, pseudo_solve,
                           rayleigh_error, ridge_leverage)
-from streamsparse.graph import (_accumulate, _columns, _components,
-                                _resistance, _resistance_solve, _stamp)
+from streamsparse.graph import (_GroundedInverse, _accumulate, _columns,
+                                _components, _resistance, _resistance_solve,
+                                _stamp)
 
 
 def triangle(w=1.0):
@@ -136,6 +137,52 @@ class TestComponentSolve:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
         labels = union_find_labels(n, edges)
         assert np.array_equal(straddles, labels[u] != labels[v])
+
+
+def same_component(labels):
+    """The partition of a label array, as a boolean matrix."""
+    return labels[:, None] == labels[None, :]
+
+
+class TestGroundedInverse:
+    @given(split_laplacians(), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=6))
+    @settings(max_examples=150, deadline=None)
+    def test_tracks_pseudo_inverse_and_components(self, case, every,
+                                                  refresh_every):
+        # rows arrive in random order inside vertex groups, so components
+        # grow by joins; syncing every few rows folds several at once, and
+        # a short refresh interval makes the stream cross refreshes
+        n, edges, _, _ = case
+        sketch, inv = SpectralSketch(n), _GroundedInverse(n, refresh_every)
+        a, b = np.triu_indices(n, 1)
+        for k, (u, v, w) in enumerate(edges, 1):
+            sketch.append(IncidenceRow(u, v, math.sqrt(w)))
+            if k % every and k < len(edges):
+                continue
+            inv.sync(sketch)
+            labels = union_find_labels(n, edges[:k])
+            assert np.array_equal(same_component(inv.labels),
+                                  same_component(labels))
+            inside = labels[a] == labels[b]
+            want = _resistance(pseudo_inverse(sketch.gram), a, b)[inside]
+            got = _resistance(inv.M, a, b)[inside]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            assert inv.folds == k
+            assert inv.joins == n - np.unique(labels).size
+        if every == 1:
+            assert inv.refreshes == len(edges) // refresh_every
+
+    def test_refresh_records_drift(self):
+        rng = np.random.default_rng(0)
+        n = 10
+        sketch, inv = SpectralSketch(n), _GroundedInverse(n, 16)
+        for _ in range(100):
+            u, v = rng.choice(n, size=2, replace=False)
+            sketch.append(IncidenceRow(int(u), int(v), rng.uniform(0.5, 2)))
+            inv.sync(sketch)
+        assert inv.refreshes == 100 // 16
+        assert 0 < inv.drift < 1e-10
 
 
 class TestLaplacian:

@@ -3,15 +3,19 @@
 import itertools
 import math
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamsparse import (Graph, Hyperedge, Hypergraph, HyperSamplerConfig,
                           HyperSamplerState, IncidenceRow, associated_graph,
                           balanced_rho, fast_rho, hyper_energy, hyper_sparsify,
                           laplacian, pseudo_inverse, quantize_weight)
-from streamsparse.graph import _resistance
+from streamsparse import hypergraph
+from streamsparse.graph import _components, _resistance
+from streamsparse.hypergraph import _rescaled
 
 
 def random_hypergraph(rng, n=8, m=60, r=3):
@@ -57,6 +61,17 @@ class TestTypes:
     def test_rank(self):
         h = Hypergraph(5, [Hyperedge((0, 1), 1.0), Hyperedge((1, 2, 3, 4), 1.0)])
         assert h.r == 4
+
+    def test_rescaled_reuses_vertices_and_checks_weight(self):
+        e = Hyperedge((4, 0, 2), 1.5)
+        out = _rescaled(e, 3.0)
+        assert out == Hyperedge((0, 2, 4), 4.5)
+        assert out.vertices is e.vertices
+        for factor in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _rescaled(e, factor)
+        with pytest.raises(FrozenInstanceError):
+            out.w = 1.0
 
 
 class TestEnergy:
@@ -232,6 +247,39 @@ class TestSamplers:
                     want = e.w * max(_resistance(Gp, a, b) for a, b in pairs)
                     assert score == pytest.approx(want, rel=1e-12)
 
+    def test_pair_scores_sync_rows_appended_to_the_sketch(self):
+        # rows can reach the sketch without going through step; the next
+        # score folds them all, and joins count the merged components
+        n = 7
+        state = HyperSamplerState(n, HyperSamplerConfig(rho=1.0))
+        rows = [(0, 1, 1.0), (2, 3, 2.0), (1, 2, 0.5), (0, 3, 4.0), (5, 6, 1.5)]
+        for k, (u, v, w) in enumerate(rows, 1):
+            state.sampler.sketch.append(IncidenceRow(u, v, math.sqrt(w)))
+            state._pair_scores(Hyperedge((0, 4), 1.0))
+            G = state.sampler.sketch.gram
+            stats = state.stats()
+            assert stats["folds"] == len(state.sampler.sketch) == k
+            assert stats["joins"] == n - np.unique(_components(G)).size
+        Gp = pseudo_inverse(state.sampler.sketch.gram)
+        assert state._pair_scores(Hyperedge((0, 2, 3), 2.0)) == pytest.approx(
+            2.0 * max(_resistance(Gp, a, b)
+                      for a, b in ((0, 2), (0, 3), (2, 3))), rel=1e-12)
+
+    def test_stats(self):
+        rng = np.random.default_rng(10)
+        h = random_hypergraph(rng, m=40)
+        state = HyperSamplerState(8, HyperSamplerConfig(rho=0.05, seed=2))
+        assert state.stats() == {
+            "seen": 0, "kept": 0, "folds": 0, "joins": 0, "refreshes": 0,
+            "drift": 0.0, "sampler": state.sampler.stats()}
+        for e in h.hyperedges:
+            state.step(e)
+        stats = state.stats()
+        assert stats["seen"] == 40
+        assert 0 < stats["kept"] == len(state.kept) < 40
+        assert stats["folds"] == len(state.sampler.sketch)
+        assert stats["sampler"] == state.sampler.stats()
+
     def test_determinism(self):
         rng = np.random.default_rng(9)
         h = random_hypergraph(rng, m=50)
@@ -239,3 +287,71 @@ class TestSamplers:
         b = hyper_sparsify(h, eps=0.8, seed=4)
         assert [(e.vertices, e.w) for e in a.hyperedges] == \
                [(e.vertices, e.w) for e in b.hyperedges]
+
+
+@st.composite
+def hyper_streams(draw):
+    """(n, cfg, refresh_every, stream): hyperedges of 2 to 4 vertices over
+    a few vertices, so sketch components form, join and stay apart; a row
+    multiplier c small enough that some clique rows are not kept; and a
+    short refresh interval, so the stream crosses refreshes."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    size = st.integers(min_value=2, max_value=min(4, n))
+    verts = size.flatmap(lambda k: st.lists(
+        st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k,
+        unique=True))
+    weight = st.floats(min_value=0.1, max_value=10.0)
+    stream = draw(st.lists(st.builds(Hyperedge, verts.map(tuple), weight),
+                           min_size=1, max_size=20))
+    cfg = HyperSamplerConfig(
+        rho=draw(st.floats(min_value=0.05, max_value=2.0)),
+        variant=draw(st.sampled_from(("fast", "balanced"))),
+        c=draw(st.floats(min_value=0.2, max_value=5.0)),
+        seed=draw(st.integers(min_value=0, max_value=2**16)))
+    return n, cfg, draw(st.integers(min_value=1, max_value=12)), stream
+
+
+class TestMaintainedScores:
+    @given(hyper_streams())
+    @settings(max_examples=80, deadline=None)
+    def test_scores_and_components_match_the_sketch(self, case):
+        # after every step, every pair scores its pseudo-inverse resistance
+        # on the sketch, or inf across components, and the maintained
+        # labels partition the vertices as the sketch's components do
+        n, cfg, refresh_every, stream = case
+        with mock.patch.object(hypergraph, "_REFRESH_EVERY", refresh_every):
+            state = HyperSamplerState(n, cfg)
+        a, b = np.triu_indices(n, 1)
+        for e in stream:
+            state.step(e)
+            G = state.sampler.sketch.gram
+            labels = _components(G)
+            assert np.array_equal(
+                state._inverse.labels[:, None] == state._inverse.labels,
+                labels[:, None] == labels)
+            Gp = pseudo_inverse(G)
+            for x, y in zip(a, b):
+                got = state._pair_scores(Hyperedge((int(x), int(y)), 1.0))
+                if labels[x] != labels[y]:
+                    assert got == math.inf
+                else:
+                    assert got == pytest.approx(_resistance(Gp, x, y),
+                                                rel=1e-9, abs=1e-12)
+            stats = state.stats()
+            assert stats["folds"] == len(state.sampler.sketch)
+            assert stats["joins"] == n - np.unique(labels).size
+        assert stats["refreshes"] <= stats["folds"] // refresh_every
+
+    def test_refreshes_on_a_long_stream(self):
+        rng = np.random.default_rng(11)
+        h = random_hypergraph(rng, n=10, m=600, r=4)
+        for variant in ("fast", "balanced"):
+            state = HyperSamplerState(10, HyperSamplerConfig(
+                rho=1.0, variant=variant, m_hint=1800))
+            for e in h.hyperedges:
+                state.step(e)
+            stats = state.stats()
+            assert stats["folds"] >= hypergraph._REFRESH_EVERY
+            assert stats["refreshes"] >= 1
+            assert 0 < stats["drift"] < 1e-9
+            assert stats["joins"] == 9

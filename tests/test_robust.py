@@ -95,6 +95,24 @@ class TestSkipWhenNothingKept:
         assert skipped > 50 and switches > 1
 
 
+class TestMaintainedLaplacian:
+    @pytest.mark.parametrize("c,fed", [(1e12, 0), (0.3, 0), (0.3, 40)])
+    def test_equals_laplacian_of_the_snapshot(self, c, fed):
+        # keep-all, sparse and pre-fed inner samplers: after every step the
+        # Laplacian the gate reads is bit-identical to a rebuilt one
+        n, eps = 8, 0.5
+        g = gen_synthetic(n, 200, seed=12)
+        inner = OnlineSamplerState(n, c=c, eps=eps / 8, seed=6)
+        for e in g.edges[:fed]:
+            inner.process_edge(e)
+        state = RobustWrapperState(n, eps, inner=inner)
+        for e in g.edges[fed:]:
+            state.step(e)
+            assert np.array_equal(state._laplacian,
+                                  laplacian(state.inner.finalize()))
+        assert state.switch_count > 1
+
+
 class TestParallelEdgeBound:
     @pytest.mark.parametrize("m,eps", [(64, 0.5), (200, 0.5), (100, 1.0)])
     def test_switch_count_bound(self, m, eps):
