@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (Graph, KernelMismatchError, WeightedEdge, _accumulate,
-                    _columns, _resistance, laplacian, pseudo_inverse,
-                    rayleigh_error)
+                    _columns, _components, _resistance, laplacian,
+                    pseudo_inverse, rayleigh_error)
 from .io import load_snap
 from .merge_reduce import (MergeReduceTree, OnlineConfig, StreamPipelineConfig,
                            StreamSparsifier, TreeConfig)
@@ -62,8 +62,10 @@ class ExperimentConfig:
     integer_weights: bool = False
 
     def __post_init__(self):
-        if self.trials < 1 or any(b <= 0 for b in self.budgets):
-            raise ValueError("trials must be >= 1 and budgets positive")
+        if (min(self.trials, self.probe_trials, self.tree_probe_trials) < 1
+                or any(b <= 0 for b in self.budgets)):
+            raise ValueError("trial and probe counts must be >= 1 and "
+                             "budgets positive")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -121,37 +123,20 @@ def gen_synthetic(n: int, m: int, seed: int,
 # -- per-trial cached data ----------------------------------------------
 
 
-class _DisjointSets:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(a)] = self.find(b)
-
-
 def batch_online_leverages(g: Graph, batch_size: int = 100) -> np.ndarray:
     """Leverage of each edge against the exact Laplacian of the prefix up to
     the previous batch boundary; inf when the endpoints are not yet
     connected there (forcing p = 1)."""
     out = np.full(g.m, math.inf)
     L = np.zeros((g.n, g.n))
-    ds = _DisjointSets(g.n)
     for start in range(0, g.m, batch_size):
-        batch = g.edges[start:start + batch_size]
-        u, v, w = _columns(batch)
+        u, v, w = _columns(g.edges[start:start + batch_size])
         if start:
-            joined = [ds.find(a) == ds.find(b) for a, b, _ in batch]
+            labels = _components(L)
             lev = w * _resistance(pseudo_inverse(L), u, v)
-            out[start:start + len(batch)] = np.where(joined, lev, math.inf)
+            out[start:start + u.size] = np.where(labels[u] == labels[v],
+                                                 lev, math.inf)
         _accumulate(L, u, v, w)
-        for a, b, _ in batch:
-            ds.union(a, b)
     return out
 
 
@@ -202,18 +187,19 @@ def _run_online(trial: _Trial, c: float) -> tuple[int, Graph]:
     return len(edges), Graph(trial.graph.n, edges)
 
 
-def _run_merge_reduce(trial: _Trial, block_size: int) -> tuple[int, Graph]:
+def _run_merge_reduce(trial: _Trial, block_size: int
+                      ) -> tuple[int, Graph, MergeReduceTree]:
     # rho defaults to block_size / n, so the reduced coresets match the
     # block size and the peak resident count scales with the one knob
     tree = MergeReduceTree(trial.graph.n, TreeConfig(
         block_size=block_size, seed=trial.sample_seed))
     for e in trial.graph.edges:
         tree.push(e)
-    return tree.peak_resident, tree.sparsifier()
+    return tree.peak_resident, tree.sparsifier(), tree
 
 
-def _run_streaming(trial: _Trial, c: float,
-                   block_size: int) -> tuple[int, Graph]:
+def _run_streaming(trial: _Trial, c: float, block_size: int
+                   ) -> tuple[int, Graph, MergeReduceTree]:
     cfg = StreamPipelineConfig(
         online=OnlineConfig(c=c, seed=trial.sample_seed),
         tree=TreeConfig(block_size=block_size,
@@ -222,7 +208,7 @@ def _run_streaming(trial: _Trial, c: float,
     pipe = StreamSparsifier(trial.graph.n, cfg)
     for e in trial.graph.edges:
         pipe.push(e)
-    return pipe.max_resident, pipe.result()
+    return pipe.max_resident, pipe.result(), pipe.tree
 
 
 # -- knob tuning ---------------------------------------------------------
@@ -264,6 +250,9 @@ def _tune_tree_knob(count_one, count_of, budget: int, tolerance: int,
     the budget window can be reached in several teeth. Larger blocks mean
     shallower trees and better accuracy, so teeth are scanned from the top
     with a cheap one-probe count, confirming hits with the full probe mean.
+    The counts may ask for a block twice, or for blocks above the push
+    count of a tower that never carried, which run identically; _tune
+    answers both from its probe cache without a run.
     """
     if hi is None:
         hi = 4.0 * budget
@@ -312,7 +301,17 @@ def _tune_tree_knob(count_one, count_of, budget: int, tolerance: int,
 def _tune(cfg: ExperimentConfig, method: str, budget: int,
           trials: list[_Trial], result: ExperimentResult) -> dict:
     """Pick the method's knob values for one budget, recording the tuned
-    constant and a warning when the budget is out of reach."""
+    constant and a warning when the budget is out of reach.
+
+    A tower sweep reads its probe counts through one cache per call, keyed
+    by (trial index, block). A probe whose tower never carried (fewer
+    pushes than its block) also answers every larger block on its trial.
+    Both rules are exact: the block size is read only by the carry test and
+    the reductions a carry starts, so without a carry the tower, the Gram,
+    version and last_delta the streaming sampler scores against, and hence
+    every keep and the peak count are the same for any block above the
+    push count.
+    """
     # sweep to a tighter internal target so the final-trial mean still
     # lands inside the reported tolerance
     tune_tol = (cfg.tune_tolerance if cfg.tune_tolerance is not None
@@ -325,31 +324,31 @@ def _tune(cfg: ExperimentConfig, method: str, budget: int,
 
         knob, count = _bisect_knob(count_of, budget, tune_tol, 1e-4, 1e2)
         params = {"c": knob}
-    elif method == "merge_reduce":
-        probes = trials[:cfg.tree_probe_trials]
+    else:
+        params = {}
+        if method == "streaming":
+            params["c"] = PAPER_C_OL_STR.get(budget, 5.0)
+        seen: dict[tuple[int, int], int] = {}   # (trial, block) -> count
+        flat: dict[int, tuple[int, int]] = {}   # trial -> (pushes, count)
 
-        def count_one(block):
-            return float(_run_merge_reduce(probes[0], int(block))[0])
+        def count_at(t: _Trial, block: int) -> int:
+            pushes, stored = flat.get(t.index, (math.inf, 0))
+            if block > pushes:
+                return stored
+            if (t.index, block) not in seen:
+                stored, _, tree = _run_one(t, method,
+                                           {**params, "block_size": block})
+                if tree.height == 0:
+                    flat[t.index] = (tree.pushed, stored)
+                seen[t.index, block] = stored
+            return seen[t.index, block]
 
-        def count_of(block):
-            return float(np.mean(
-                [_run_merge_reduce(t, int(block))[0] for t in probes]))
+        def count_of(block, probes=trials[:cfg.tree_probe_trials]):
+            return float(np.mean([count_at(t, int(block)) for t in probes]))
 
-        knob, count = _tune_tree_knob(count_one, count_of, budget, tune_tol)
-        params = {"block_size": max(int(round(knob)), 4)}
-    else:  # streaming
-        probes = trials[:cfg.tree_probe_trials]
-        c = PAPER_C_OL_STR.get(budget, 5.0)
-
-        def count_one(block):
-            return float(_run_streaming(probes[0], c, int(block))[0])
-
-        def count_of(block):
-            return float(np.mean(
-                [_run_streaming(t, c, int(block))[0] for t in probes]))
-
-        knob, count = _tune_tree_knob(count_one, count_of, budget, tune_tol)
-        params = {"c": c, "block_size": max(int(round(knob)), 4)}
+        knob, count = _tune_tree_knob(lambda b: count_of(b, trials[:1]),
+                                      count_of, budget, tune_tol)
+        params["block_size"] = max(int(round(knob)), 4)
     result.tuned[(method, budget)] = knob
     if abs(count - budget) > cfg.tolerance:
         result.warnings.append(
@@ -358,7 +357,8 @@ def _tune(cfg: ExperimentConfig, method: str, budget: int,
     return params
 
 
-def _run_one(trial: _Trial, method: str, params: dict) -> tuple[int, Graph]:
+def _run_one(trial: _Trial, method: str, params: dict) -> tuple:
+    """(stored count, sparsifier), plus the tower for the tower methods."""
     if method == "online":
         return _run_online(trial, params["c"])
     if method == "merge_reduce":
@@ -368,16 +368,16 @@ def _run_one(trial: _Trial, method: str, params: dict) -> tuple[int, Graph]:
 
 def run_experiment(cfg: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
     result = ExperimentResult()
-    n_trials = max(cfg.trials, cfg.probe_trials
-                   if "online" in cfg.methods else cfg.trials)
-    trials = [_Trial(cfg, t) for t in range(n_trials)]
+    probes = [cfg.probe_trials if m == "online" else cfg.tree_probe_trials
+              for m in cfg.methods]
+    trials = [_Trial(cfg, t) for t in range(max(cfg.trials, *probes))]
     for method in cfg.methods:
         for budget in cfg.budgets:
             params = _tune(cfg, method, budget, trials, result)
             rows = []
             for t in range(cfg.trials):
                 start = time.perf_counter()
-                stored, sparsifier = _run_one(trials[t], method, params)
+                stored, sparsifier = _run_one(trials[t], method, params)[:2]
                 seconds = time.perf_counter() - start
                 err = _error(trials[t].L, sparsifier)
                 rows.append(RawRow(method, budget, t, stored, err, seconds))

@@ -7,6 +7,7 @@ vertices. Vertices are 0-based contiguous integers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -74,17 +75,14 @@ class SolverConfig:
     """Numerical knobs for pseudoinverse solves.
 
     eig_tol is a relative cutoff: eigenvalues <= eig_tol * lambda_max are
-    treated as zero. ridge_lambda is the ridge term for regularized scores.
+    treated as zero.
     """
 
     eig_tol: float = 1e-10
-    ridge_lambda: float = 0.0
 
     def __post_init__(self):
         if self.eig_tol <= 0:
             raise ValueError("eig_tol must be positive")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be non-negative")
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -114,7 +112,7 @@ def _stamp(G: np.ndarray, u: int, v: int, w: float) -> None:
 
 def _columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Endpoint index arrays and weight array of a sequence of (u, v, w)."""
-    a = np.array(edges, dtype=float).reshape(-1, 3)
+    a = np.fromiter(itertools.chain.from_iterable(edges), float).reshape(-1, 3)
     return a[:, 0].astype(np.intp), a[:, 1].astype(np.intp), a[:, 2]
 
 

@@ -69,6 +69,19 @@ class TestKernel:
         assert np.array_equal(_accumulate(np.zeros((n, n)), *_columns(edges)),
                               laplacian(Graph(n, edges)))
 
+    @given(edge_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_columns_equal_array_conversion(self, case):
+        _, edges = case
+        want = np.array(edges, dtype=float).reshape(-1, 3)
+        for got in (_columns(edges), _columns([tuple(e) for e in edges])):
+            u, v, w = got
+            assert u.dtype == v.dtype == np.intp and w.dtype == float
+            assert np.array_equal(u, want[:, 0].astype(np.intp))
+            assert np.array_equal(v, want[:, 1].astype(np.intp))
+            assert np.array_equal(w, want[:, 2])
+            assert u.shape == v.shape == w.shape == (len(edges),)
+
     @given(edge_lists(), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_gather_equals_scalar_formula(self, case, seed):

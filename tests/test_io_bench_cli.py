@@ -6,11 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamsparse import (Graph, Hyperedge, Hypergraph, ParseError,
-                          WeightedEdge, load_edge_list, load_hyperedge_list,
-                          load_snap, save_edge_list, save_hyperedge_list)
-from streamsparse.bench import (ExperimentConfig, RawRow, gen_synthetic,
+                          WeightedEdge, bench, laplacian, load_edge_list,
+                          load_hyperedge_list, load_snap, pseudo_inverse,
+                          save_edge_list, save_hyperedge_list)
+from streamsparse.bench import (ExperimentConfig, ExperimentResult, RawRow,
+                                _Trial, _run_merge_reduce, _run_streaming,
+                                _tune, _tune_tree_knob, gen_synthetic,
                                 read_csv, run_experiment, write_csv,
                                 batch_online_leverages)
 
@@ -118,6 +122,50 @@ class TestBatchLeverages:
         assert finite.size > 0
         assert (finite <= 1 + 1e-9).all() and (finite > 0).all()
 
+    @staticmethod
+    def union_find_leverages(g, batch_size):
+        """Reference: a union-find decides which endpoints are joined by
+        the previous batches; the leverage reads the prefix's
+        pseudo-inverse."""
+        parent = list(range(g.n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        out = np.full(g.m, np.inf)
+        for start in range(0, g.m, batch_size):
+            batch = g.edges[start:start + batch_size]
+            if start:
+                K = pseudo_inverse(laplacian(Graph(g.n, g.edges[:start])))
+                for i, (a, b, w) in enumerate(batch):
+                    if find(a) == find(b):
+                        out[start + i] = w * (K[a, a] + K[b, b] - 2.0 * K[a, b])
+            for a, b, _ in batch:
+                parent[find(a)] = find(b)
+        return out
+
+    # components that join across batches; vertex 9 stays alone until the
+    # fifth edge triple
+    JOINING = Graph(10, [WeightedEdge(u, v, w) for u, v, w in [
+        (0, 1, 1.0), (2, 3, 2.0), (4, 5, 3.0),
+        (0, 1, 1.5), (1, 2, 2.5), (6, 7, 1.0),
+        (0, 2, 4.0), (3, 4, 1.0), (7, 8, 2.0),
+        (0, 5, 1.0), (6, 8, 3.0), (5, 8, 2.0),
+        (0, 8, 1.0), (1, 9, 5.0), (3, 6, 1.0),
+        (9, 4, 2.0), (2, 7, 1.0)]])
+
+    @pytest.mark.parametrize("g, batch_size", [
+        (JOINING, 3), (JOINING, 1), (JOINING, 5),
+        *[(gen_synthetic(12, 40, seed=s), 4) for s in range(4)]])
+    def test_joined_mask_matches_union_find(self, g, batch_size):
+        got = batch_online_leverages(g, batch_size)
+        want = self.union_find_leverages(g, batch_size)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert np.array_equal(got, want)
+        assert np.isfinite(got).any() and np.isinf(got[batch_size:]).any()
+
 
 class TestCsv:
     def test_round_trip(self):
@@ -156,6 +204,131 @@ class TestRunExperiment:
             ExperimentConfig(trials=0)
         with pytest.raises(ValueError):
             ExperimentConfig(methods=("bogus",))
+        for name in ("probe_trials", "tree_probe_trials"):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**{name: 0})
+
+    def test_tree_probes_get_their_own_trials(self, monkeypatch):
+        # trials=1 and probe_trials=1 must not cut three tree probes to one
+        used = set()
+        run = bench._run_merge_reduce
+
+        def spy(trial, block_size):
+            used.add(trial.index)
+            return run(trial, block_size)
+
+        monkeypatch.setattr(bench, "_run_merge_reduce", spy)
+        cfg = ExperimentConfig(n=12, m=200, budgets=(60,), trials=1,
+                               methods=("merge_reduce",), probe_trials=1,
+                               tree_probe_trials=3)
+        res = run_experiment(cfg)
+        assert used == {0, 1, 2}
+        assert [r.trial for r in res.raw] == [0]
+
+
+class TestProbeCache:
+    """_tune's probe cache: exact repeats, and the never-carried rule."""
+
+    @given(st.integers(min_value=3, max_value=12),
+           st.integers(min_value=1, max_value=300),
+           st.integers(min_value=0, max_value=2**16),
+           st.sampled_from(("merge_reduce", "streaming")),
+           st.sampled_from((0.05, 0.5, 2.0, 15.0)),
+           st.lists(st.integers(min_value=1, max_value=400), min_size=1,
+                    max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_never_carried_probe_equals_every_larger_block(
+            self, n, m, seed, method, c, steps):
+        trial = _Trial(ExperimentConfig(n=n, m=m, seed=seed), 0)
+
+        def run(block):
+            if method == "merge_reduce":
+                return _run_merge_reduce(trial, block)
+            return _run_streaming(trial, c, block)
+
+        stored, g, tree = run(m + 1)      # at most m pushes: never carries
+        assert tree.height == 0 and tree.pushed <= m
+        for step in steps:
+            stored2, g2, tree2 = run(tree.pushed + step)
+            assert tree2.height == 0 and tree2.pushed == tree.pushed
+            assert stored2 == stored and g2.edges == g.edges
+        if tree.pushed:
+            # the threshold is tight: a block equal to the push count carries
+            assert run(tree.pushed)[2].height > 0
+
+    @given(st.integers(min_value=3, max_value=10),
+           st.integers(min_value=1, max_value=200),
+           st.integers(min_value=0, max_value=2**16),
+           st.sampled_from(("merge_reduce", "streaming")),
+           st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_cached_counts_equal_direct_runs(self, n, m, seed, method, data):
+        # any order of blocks, crowded around each trial's push count
+        cfg = ExperimentConfig(n=n, m=m, seed=seed, tree_probe_trials=2)
+        trials = [_Trial(cfg, i) for i in range(2)]
+        budget = 40
+        base = ({"c": bench.PAPER_C_OL_STR.get(budget, 5.0)}
+                if method == "streaming" else {})
+
+        def direct(t, block):
+            return bench._run_one(t, method, {**base, "block_size": block})
+
+        near = [direct(t, m + 1)[2].pushed + d for t in trials
+                for d in range(-2, 3)]
+        blocks = data.draw(st.lists(
+            st.sampled_from(near) | st.integers(min_value=1, max_value=m + 5),
+            min_size=1, max_size=12).map(lambda bs: [max(b, 1) for b in bs]))
+        answers = []
+
+        def sweep(count_one, count_of, budget, tolerance):
+            for b in blocks:
+                answers.append((b, count_one(float(b)), count_of(float(b))))
+            return float(blocks[0]), answers[0][2]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench, "_tune_tree_knob", sweep)
+            _tune(cfg, method, budget, trials, ExperimentResult())
+        for b, one, mean in answers:
+            counts = [direct(t, b)[0] for t in trials]
+            assert one == counts[0]
+            assert mean == float(np.mean(counts))
+
+    @pytest.mark.parametrize("method", ["merge_reduce", "streaming"])
+    def test_tune_runs_each_probe_once(self, monkeypatch, method):
+        cfg = ExperimentConfig(n=20, m=600, budgets=(200,), trials=1,
+                               tree_probe_trials=2, tolerance=60)
+        trials = [_Trial(cfg, i) for i in range(2)]
+        run_one, runs = bench._run_one, []
+
+        def spy(trial, m, params):
+            out = run_one(trial, m, params)
+            runs.append((trial.index, params["block_size"], out[2]))
+            return out
+
+        monkeypatch.setattr(bench, "_run_one", spy)
+        params = _tune(cfg, method, 200, trials, ExperimentResult())
+        pairs = [(t, b) for t, b, _ in runs]
+        assert len(set(pairs)) == len(pairs)
+        flat = [(i, t, tree.pushed) for i, (t, _, tree) in enumerate(runs)
+                if tree.height == 0]
+        assert flat
+        for i, t, pushes in flat:
+            assert all(b <= pushes for t2, b, _ in runs[i + 1:] if t2 == t)
+
+        # an uncached sweep runs more probes and picks the same block
+        ref_runs = []
+        base = {k: v for k, v in params.items() if k != "block_size"}
+
+        def count_of(block, probes=trials):
+            ref_runs.extend((t.index, int(block)) for t in probes)
+            return float(np.mean([
+                run_one(t, method, {**base, "block_size": int(block)})[0]
+                for t in probes]))
+
+        knob, _ = _tune_tree_knob(lambda b: count_of(b, trials[:1]),
+                                  count_of, 200, 30)
+        assert params["block_size"] == max(int(round(knob)), 4)
+        assert len(runs) < len(ref_runs)
 
 
 class TestCli:
