@@ -1,7 +1,7 @@
 """Streaming spectral sparsification for graphs and hypergraphs."""
 
 from .graph import (DisconnectedError, Graph, IncidenceRow, KernelMismatchError,
-                    SolverConfig, SpectralSketch, WeightedEdge,
+                    SpectralSketch, WeightedEdge,
                     effective_resistance, incidence_matrix, laplacian,
                     leverage, leverages, pseudo_inverse, pseudo_solve,
                     rayleigh_error, ridge_leverage)
@@ -25,8 +25,7 @@ from .mincut import (CapabilityError, Cut, MinCutPipelineConfig, cut_value,
                      enumerate_near_min_cuts, exact_mincut, stoer_wagner,
                      stream_mincut)
 from .robust import (AdversaryScript, RobustHyperWrapperState,
-                     RobustWrapperState, Transcript, play_game,
-                     robust_hyper_step, robust_step)
+                     RobustWrapperState, Transcript, play_game)
 from .bench import ExperimentConfig, ResultRow, gen_synthetic, run_experiment
 from .io import (ParseError, load_edge_list, load_hyperedge_list, load_snap,
                  save_edge_list, save_hyperedge_list)

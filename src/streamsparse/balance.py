@@ -37,7 +37,6 @@ class BalanceError(RuntimeError):
 @dataclass(frozen=True)
 class BalanceConfig:
     gamma: float = 2.0
-    max_iters: int | None = None      # None -> 1e4 * number of pairs
     literal_recipient_cap: bool = False  # cap the shift by the recipient's weight
 
     def __post_init__(self):
@@ -107,8 +106,7 @@ def get_weight_assignment(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
         return WeightAssignment(pairs, np.array([e.w]))
     z = np.full(len(pairs), e.w / len(pairs))
     out = WeightAssignment(pairs, z, trace=[z.copy()])
-    max_iters = cfg.max_iters if cfg.max_iters is not None else 10_000 * len(pairs)
-    for _ in range(max_iters):
+    for _ in range(10_000 * len(pairs)):
         q = _pair_ratios(base, pairs, z)
         q_pos = np.where(z > 0, q, np.inf)
         # among ratios tied with the extreme up to rounding, the lowest

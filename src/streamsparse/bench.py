@@ -33,10 +33,6 @@ from .rng import spawn_seed
 
 # constants from the hyperparameter table of the reference experiments,
 # keyed by edge budget
-PAPER_C_OL = {500: 0.001, 1000: 0.01, 1500: 0.15,
-              2000: 0.35, 2500: 0.55, 3000: 0.75}
-PAPER_C_OFF = {500: 1.1, 1000: 2.2, 1500: 3.3,
-               2000: 4.4, 2500: 5.5, 3000: 6.6}
 PAPER_C_OL_STR = {500: 2.0, 1000: 2.5, 1500: 5.5,
                   2000: 8.0, 2500: 11.5, 3000: 15.0}
 
@@ -58,14 +54,13 @@ class ExperimentConfig:
     tolerance: int = 200
     probe_trials: int = 10               # probes for the online constant sweep
     tree_probe_trials: int = 3           # probes for tower knob sweeps
-    tune_tolerance: int | None = None    # internal sweep target; None -> tolerance/2
     integer_weights: bool = False
 
     def __post_init__(self):
-        if (min(self.trials, self.probe_trials, self.tree_probe_trials) < 1
-                or any(b <= 0 for b in self.budgets)):
-            raise ValueError("trial and probe counts must be >= 1 and "
-                             "budgets positive")
+        if (min(self.trials, self.probe_trials, self.tree_probe_trials,
+                self.batch_size) < 1 or any(b <= 0 for b in self.budgets)):
+            raise ValueError("trial and probe counts and batch_size must be "
+                             ">= 1 and budgets positive")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -214,8 +209,8 @@ def _run_streaming(trial: _Trial, c: float, block_size: int
 # -- knob tuning ---------------------------------------------------------
 
 
-def _bisect_knob(count_of, budget: int, tolerance: int, lo: float, hi: float,
-                 max_iters: int = 40) -> tuple[float, float]:
+def _bisect_knob(count_of, budget: int, tolerance: int, lo: float,
+                 hi: float) -> tuple[float, float]:
     """Bisect a monotone mean-count function in log space until the count
     lands in budget +- tolerance (or the bracket is exhausted)."""
     clo, chi = count_of(lo), count_of(hi)
@@ -224,7 +219,7 @@ def _bisect_knob(count_of, budget: int, tolerance: int, lo: float, hi: float,
     if chi < budget - tolerance:
         return hi, chi
     knob, count = hi, chi
-    for _ in range(max_iters):
+    for _ in range(40):
         mid = math.sqrt(lo * hi)
         cmid = count_of(mid)
         if abs(cmid - budget) <= tolerance:
@@ -239,11 +234,11 @@ def _bisect_knob(count_of, budget: int, tolerance: int, lo: float, hi: float,
     return knob, count
 
 
-def _tune_tree_knob(count_one, count_of, budget: int, tolerance: int,
-                    lo: float = 4.0, hi: float | None = None,
-                    ratio: float = 1.15) -> tuple[float, float]:
+def _tune_tree_knob(count_one, count_of, budget: int,
+                    tolerance: int) -> tuple[float, float]:
     """Pick the largest block size whose mean peak count lands in
-    budget +- tolerance.
+    budget +- tolerance, sweeping down from 4 * budget to 4 by steps of
+    1/1.15.
 
     The peak resident count is sawtoothed in the block size: it grows with
     the block at fixed tree height and drops where the height decreases, so
@@ -254,8 +249,6 @@ def _tune_tree_knob(count_one, count_of, budget: int, tolerance: int,
     count of a tower that never carried, which run identically; _tune
     answers both from its probe cache without a run.
     """
-    if hi is None:
-        hi = 4.0 * budget
     best: tuple[float, float, float] | None = None  # (gap, block, count)
 
     def probe(block: float):
@@ -271,9 +264,9 @@ def _tune_tree_knob(count_one, count_of, budget: int, tolerance: int,
             best = (abs(c1 - budget), block, c1)
         return None, c1
 
-    b = hi
+    b = 4.0 * budget
     prev_b = prev_c = None
-    while b >= lo:
+    while b >= 4.0:
         hit, c1 = probe(b)
         if hit is not None:
             return hit, c1
@@ -294,7 +287,7 @@ def _tune_tree_knob(count_one, count_of, budget: int, tolerance: int,
                 if bhi / max(blo, 1.0) < 1.001:
                     break
         prev_b, prev_c = b, c1
-        b /= ratio
+        b /= 1.15
     return best[1], best[2]
 
 
@@ -314,8 +307,7 @@ def _tune(cfg: ExperimentConfig, method: str, budget: int,
     """
     # sweep to a tighter internal target so the final-trial mean still
     # lands inside the reported tolerance
-    tune_tol = (cfg.tune_tolerance if cfg.tune_tolerance is not None
-                else max(cfg.tolerance // 2, 25))
+    tune_tol = max(cfg.tolerance // 2, 25)
     if method == "online":
         probes = trials[:cfg.probe_trials]
 

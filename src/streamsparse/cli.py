@@ -25,11 +25,8 @@ from .window import SlidingWindowConfig, SlidingWindowState
 def _parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--budget", type=int, action="append", default=None)
     p.add_argument("--input", default=None)
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--output", default=None)
     return p
 
@@ -71,6 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bn = sub.add_parser("bench", parents=[parent],
                         help="budget-matched method comparison")
+    bn.add_argument("--trials", type=int, default=5)
+    bn.add_argument("--budget", type=int, action="append", default=None)
+    bn.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     bn.add_argument("--n", type=int, default=100)
     bn.add_argument("--m", type=int, default=50000)
     bn.add_argument("--methods", default="online,merge_reduce,streaming")
@@ -84,12 +84,16 @@ def _out(args):
     return open(args.output, "w") if args.output else sys.stdout
 
 
-def _load_graph(args):
+def _input(args) -> str:
     if args.input is None:
         raise ValueError("--input is required")
+    return args.input
+
+
+def _load_graph(args):
     if getattr(args, "snap", False):
-        return load_snap(args.input, seed=args.seed)
-    return load_edge_list(args.input)
+        return load_snap(_input(args), seed=args.seed)
+    return load_edge_list(_input(args))
 
 
 def _cmd_gen(args) -> int:
@@ -123,7 +127,7 @@ def _cmd_sparsify(args) -> int:
 
 
 def _cmd_hypersparsify(args) -> int:
-    h = load_hyperedge_list(args.input)
+    h = load_hyperedge_list(_input(args))
     out = hyper_sparsify(h, variant=args.variant, eps=args.eps, seed=args.seed)
     if args.output:
         save_hyperedge_list(out, args.output)
@@ -144,7 +148,7 @@ def _cmd_mincut(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    h = load_hyperedge_list(args.input)
+    h = load_hyperedge_list(_input(args))
     state = SlidingWindowState(h.n, SlidingWindowConfig(
         block_size=args.block, eps=args.eps, seed=args.seed))
     for e in h.hyperedges:

@@ -35,10 +35,6 @@ class IncidenceRow(NamedTuple):
         return a
 
 
-def edge_row(e: WeightedEdge) -> IncidenceRow:
-    return IncidenceRow(e.u, e.v, math.sqrt(e.w))
-
-
 @dataclass
 class Graph:
     """Weighted multigraph; edge order is stream arrival order."""
@@ -65,27 +61,6 @@ class Graph:
                 or not 0 < w < math.inf):
             raise ValueError(f"bad edge {e}")
         self.edges.append(e)
-
-    def total_weight(self) -> float:
-        return sum(e.w for e in self.edges)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numerical knobs for pseudoinverse solves.
-
-    eig_tol is a relative cutoff: eigenvalues <= eig_tol * lambda_max are
-    treated as zero.
-    """
-
-    eig_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.eig_tol <= 0:
-            raise ValueError("eig_tol must be positive")
-
-
-DEFAULT_SOLVER = SolverConfig()
 
 
 class DisconnectedError(ValueError):
@@ -254,37 +229,56 @@ def incidence_matrix(g: Graph) -> np.ndarray:
     return A
 
 
-def pseudo_solve(L: np.ndarray, b: np.ndarray, cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+# eigenvalues <= _EIG_TOL * lambda_max count as zero in every pseudo-inverse
+_EIG_TOL = 1e-10
+
+
+def _spectrum(L: np.ndarray):
+    """eigh of the symmetric L, its largest eigenvalue lam_max (0.0 when L
+    is empty), and the mask of the eigenvalues above the relative cutoff
+    _EIG_TOL * lam_max, whose eigenvectors span image(L). Callers treat
+    lam_max <= 0 as L = 0."""
+    vals, vecs = np.linalg.eigh(L)
+    lam_max = vals[-1] if len(vals) else 0.0
+    return vals, vecs, lam_max, vals > _EIG_TOL * lam_max
+
+
+def _image_form(L: np.ndarray, b: np.ndarray, message: str) -> float:
+    """b^T L^+ b, raising DisconnectedError(message) when b has a residual
+    outside image(L), i.e. when its endpoints straddle components."""
+    x = pseudo_solve(L, b)
+    if np.linalg.norm(L @ x - b) > 1e-6 * np.linalg.norm(b):
+        raise DisconnectedError(message)
+    return float(b @ x)
+
+
+def pseudo_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L x = b in the least-squares sense via eigendecomposition.
 
-    Eigenvalues below cfg.eig_tol relative to the largest are dropped; the
-    result is orthogonal to the dropped eigenspace.
+    Eigenvalues at or below the relative cutoff are dropped; the result is
+    orthogonal to the dropped eigenspace.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be square")
     if not np.allclose(L, L.T, atol=1e-8 * (1.0 + np.abs(L).max())):
         raise ValueError("L must be symmetric")
-    vals, vecs = np.linalg.eigh(L)
-    lam_max = vals[-1] if len(vals) else 0.0
+    vals, vecs, lam_max, keep = _spectrum(L)
     if lam_max <= 0:
         return np.zeros_like(np.asarray(b, dtype=float))
-    keep = vals > cfg.eig_tol * lam_max
     coeffs = vecs[:, keep].T @ b
     return vecs[:, keep] @ (coeffs / vals[keep])
 
 
-def pseudo_inverse(L: np.ndarray, cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+def pseudo_inverse(L: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the same cutoff as pseudo_solve."""
-    vals, vecs = np.linalg.eigh(np.asarray(L, dtype=float))
-    lam_max = vals[-1] if len(vals) else 0.0
+    vals, vecs, lam_max, keep = _spectrum(np.asarray(L, dtype=float))
     if lam_max <= 0:
         return np.zeros_like(L)
-    keep = vals > cfg.eig_tol * lam_max
     return (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
 
 
-def effective_resistance(g: Graph, u: int, v: int, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def effective_resistance(g: Graph, u: int, v: int) -> float:
     """(chi_u - chi_v) L^+ (chi_u - chi_v)^T on g's Laplacian.
 
     Raises DisconnectedError if u and v are in different components.
@@ -293,32 +287,22 @@ def effective_resistance(g: Graph, u: int, v: int, cfg: SolverConfig = DEFAULT_S
         raise ValueError("vertex out of range")
     if u == v:
         return 0.0
-    L = laplacian(g)
-    return resistance_from_laplacian(L, u, v, cfg)
-
-
-def resistance_from_laplacian(L: np.ndarray, u: int, v: int,
-                              cfg: SolverConfig = DEFAULT_SOLVER) -> float:
-    d = np.zeros(L.shape[0])
+    d = np.zeros(g.n)
     d[u], d[v] = 1.0, -1.0
-    x = pseudo_solve(L, d, cfg)
-    # residual outside the image means u,v straddle components
-    resid = L @ x - d
-    if np.linalg.norm(resid) > 1e-6 * max(1.0, np.linalg.norm(d)):
-        raise DisconnectedError(f"vertices {u} and {v} are not connected")
-    return float(d @ x)
+    return _image_form(laplacian(g), d,
+                       f"vertices {u} and {v} are not connected")
 
 
-def leverage(g: Graph, e: WeightedEdge, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def leverage(g: Graph, e: WeightedEdge) -> float:
     """Leverage score of the incidence row of e: w(e) * effective resistance."""
-    return e.w * effective_resistance(g, e.u, e.v, cfg)
+    return e.w * effective_resistance(g, e.u, e.v)
 
 
-def leverages(g: Graph, cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+def leverages(g: Graph) -> np.ndarray:
     """Leverage scores of all edges against the full graph, one solve."""
     if g.m == 0:
         return np.zeros(0)
-    Lp = pseudo_inverse(laplacian(g), cfg)
+    Lp = pseudo_inverse(laplacian(g))
     u, v, w = _columns(g.edges)
     return w * _resistance(Lp, u, v)
 
@@ -348,8 +332,7 @@ class SpectralSketch:
         return len(self.rows)
 
 
-def ridge_leverage(sketch: SpectralSketch, row: IncidenceRow, lam: float,
-                   cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def ridge_leverage(sketch: SpectralSketch, row: IncidenceRow, lam: float) -> float:
     """a^T (M^T M + lam I)^{-1} a for the dense vector a of row.
 
     lam = 0 falls back to the pseudoinverse and requires a to lie in the
@@ -362,16 +345,12 @@ def ridge_leverage(sketch: SpectralSketch, row: IncidenceRow, lam: float,
     if lam > 0:
         x = np.linalg.solve(G + lam * np.eye(sketch.n), a)
         return float(a @ x)
-    x = pseudo_solve(G, a, cfg)
-    resid = G @ x - a
-    if np.linalg.norm(resid) > 1e-6 * np.linalg.norm(a):
-        raise DisconnectedError(
-            "lam = 0 requires the row to lie in the image of the sketch")
-    return float(a @ x)
+    return _image_form(
+        G, a, "lam = 0 requires the row to lie in the image of the sketch")
 
 
 def rayleigh_error(L: np.ndarray, L_hat: np.ndarray,
-                   cfg: SolverConfig = DEFAULT_SOLVER, two_sided: bool = True) -> float:
+                   two_sided: bool = True) -> float:
     """Multiplicative sparsifier error: the extreme generalized eigenvalue of
     the pencil (L - L_hat, L) restricted to image(L).
 
@@ -380,13 +359,11 @@ def rayleigh_error(L: np.ndarray, L_hat: np.ndarray,
     """
     L = np.asarray(L, dtype=float)
     L_hat = np.asarray(L_hat, dtype=float)
-    vals, vecs = np.linalg.eigh(L)
-    lam_max = vals[-1] if len(vals) else 0.0
+    vals, vecs, lam_max, keep = _spectrum(L)
     if lam_max <= 0:
         if np.abs(L_hat).max(initial=0.0) > 1e-12:
             raise KernelMismatchError("reference Laplacian is zero but L_hat is not")
         return 0.0
-    keep = vals > cfg.eig_tol * lam_max
     V = vecs[:, keep]
     # image(L_hat) must sit inside image(L)
     drop = vecs[:, ~keep]

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .balance import BalanceConfig, clique_pairs, get_weight_assignment
+from .balance import clique_pairs, get_weight_assignment
 from .graph import (Graph, IncidenceRow, WeightedEdge, _GroundedInverse,
                     _resistance)
 from .online import _REFRESH_EVERY, OnlineSamplerState, default_c
@@ -119,15 +119,18 @@ def quantize_weight(w: float, eps: float) -> float:
     return (1.0 + eps) ** k
 
 
-def fast_rho(r: int, m: int, eps: float, delta: float = 0.1,
-             beta: float = 0.5) -> float:
-    """Oversampling rate of the fast variant: beta * r^4 * ln(m/delta) / eps^2."""
-    return beta * r ** 4 * math.log(max(m, 2) / delta) / (eps * eps)
+_BETA = 0.5     # constant factor of both default oversampling rates
+_DELTA = 0.1    # failure probability behind the fast variant's rate
 
 
-def balanced_rho(r: int, m: int, eps: float, beta: float = 0.5) -> float:
-    """Oversampling rate of the balanced variant: beta * ln m * ln(2r) / eps^2."""
-    return beta * math.log(max(m, 2)) * math.log(2 * r) / (eps * eps)
+def fast_rho(r: int, m: int, eps: float) -> float:
+    """Oversampling rate of the fast variant: _BETA * r^4 * ln(m/_DELTA) / eps^2."""
+    return _BETA * r ** 4 * math.log(max(m, 2) / _DELTA) / (eps * eps)
+
+
+def balanced_rho(r: int, m: int, eps: float) -> float:
+    """Oversampling rate of the balanced variant: _BETA * ln m * ln(2r) / eps^2."""
+    return _BETA * math.log(max(m, 2)) * math.log(2 * r) / (eps * eps)
 
 
 class HyperDecision(NamedTuple):
@@ -140,7 +143,6 @@ class HyperDecision(NamedTuple):
 class HyperSamplerConfig:
     rho: float
     variant: str = "fast"            # "fast" | "balanced"
-    gamma: float = 2.0
     c: float | None = None           # row-sampler multiplier; None -> default
     eps: float = 1.0
     seed: int = 0
@@ -151,6 +153,8 @@ class HyperSamplerConfig:
             raise ValueError("variant must be 'fast' or 'balanced'")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
 
 
 class HyperSamplerState:
@@ -170,7 +174,6 @@ class HyperSamplerState:
         self.kept: list[tuple[Hyperedge, float]] = []  # (edge, 1/p factor)
         self.seen = 0
         self._draws = UniformByIndex(cfg.seed)
-        self._balance = BalanceConfig(gamma=cfg.gamma)
         self._inverse = _GroundedInverse(n, _REFRESH_EVERY)
 
     # -- pair scoring against the sketch -------------------------------
@@ -244,7 +247,7 @@ def balanced_hyper_sparsify_step(state: HyperSamplerState,
 
     A balancing failure (iteration cap) propagates as BalanceError.
     """
-    assignment = get_weight_assignment(state.sampler.sketch, e, state._balance)
+    assignment = get_weight_assignment(state.sampler.sketch, e)
     for (u, v), z in zip(assignment.pairs, assignment.z):
         if z > 0:
             state.sampler.process_row(IncidenceRow(u, v, math.sqrt(z)))
@@ -254,14 +257,13 @@ def balanced_hyper_sparsify_step(state: HyperSamplerState,
 
 
 def hyper_sparsify(h: Hypergraph, variant: str = "fast", eps: float = 1.0,
-                   beta: float = 0.5, delta: float = 0.1, gamma: float = 2.0,
                    seed: int = 0, rho: float | None = None) -> Hypergraph:
     """One-shot run over a whole hyperedge list with the default rho."""
     if rho is None:
-        rho = (balanced_rho(h.r, h.m, eps, beta) if variant == "balanced"
-               else fast_rho(h.r, h.m, eps, delta, beta))
+        rho = (balanced_rho(h.r, h.m, eps) if variant == "balanced"
+               else fast_rho(h.r, h.m, eps))
     rows = sum(e.size * (e.size - 1) // 2 for e in h.hyperedges)
-    cfg = HyperSamplerConfig(rho=rho, variant=variant, gamma=gamma, eps=eps,
+    cfg = HyperSamplerConfig(rho=rho, variant=variant, eps=eps,
                              seed=seed, m_hint=max(rows, 2))
     state = HyperSamplerState(h.n, cfg)
     for e in h.hyperedges:

@@ -43,6 +43,8 @@ def load_edge_list(path, n: int | None = None) -> Graph:
             raise ParseError(path, lineno, str(exc)) from None
         if u < 0 or v < 0:
             raise ParseError(path, lineno, "negative vertex label")
+        if u == v:
+            raise ParseError(path, lineno, f"self-loop at vertex {u}")
         if not 0 < w < math.inf:
             raise ParseError(path, lineno, "weight must be positive and finite")
         edges.append(WeightedEdge(u, v, w))
@@ -75,6 +77,8 @@ def load_hyperedge_list(path, n: int | None = None) -> Hypergraph:
         if len(verts) != k:
             raise ParseError(
                 path, lineno, f"declared {k} vertices, found {len(verts)}")
+        if any(x < 0 for x in verts):
+            raise ParseError(path, lineno, "negative vertex label")
         try:
             hyperedges.append(Hyperedge(tuple(verts), w))
         except ValueError as exc:

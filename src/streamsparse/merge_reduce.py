@@ -30,6 +30,8 @@ class TreeConfig:
     def __post_init__(self):
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if self.rho is not None and self.rho <= 0:
+            raise ValueError("rho must be positive")
 
 
 def eps_per_level(eps: float, height: int) -> float:
@@ -161,18 +163,19 @@ def mr_sparsify(g: Graph, cfg: TreeConfig) -> tuple[Graph, MergeReduceTree]:
 
 @dataclass(frozen=True)
 class OnlineConfig:
-    c: float | None = None        # None -> default_c(m_hint, eps, alpha)
+    c: float | None = None        # None -> default_c(m_hint, eps)
     eps: float = 1.0
-    alpha: float = 4.0
-    lam: float | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
 
 
 @dataclass(frozen=True)
 class StreamPipelineConfig:
     online: OnlineConfig = field(default_factory=OnlineConfig)
     tree: TreeConfig = field(default_factory=lambda: TreeConfig(block_size=256))
-    budget: int | None = None
     use_tree_sketch: bool = False   # working-memory mode: tree output = sketch
     m_hint: int | None = None       # expected stream length, for default c
 
@@ -185,12 +188,11 @@ class StreamSparsifier:
         self.cfg = cfg
         c = cfg.online.c
         if c is None:
-            c = default_c(cfg.m_hint or 1024, cfg.online.eps, cfg.online.alpha)
+            c = default_c(cfg.m_hint or 1024, cfg.online.eps)
         self.tree = MergeReduceTree(n, cfg.tree)
         provider = self.tree if cfg.use_tree_sketch else None
         self.sampler = OnlineSamplerState(
-            n, c, lam=cfg.online.lam, seed=cfg.online.seed,
-            eps=cfg.online.eps, provider=provider)
+            n, c, seed=cfg.online.seed, eps=cfg.online.eps, provider=provider)
         self.max_resident = 0
 
     def push(self, e: WeightedEdge) -> None:

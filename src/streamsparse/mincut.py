@@ -19,6 +19,7 @@ from .merge_reduce import (OnlineConfig, StreamPipelineConfig, TreeConfig,
 
 _BRUTE_FORCE_MAX = 10    # exact_mincut switches to Stoer-Wagner above this
 _ENUMERATE_MAX = 20      # hard cap for exhaustive cut enumeration
+_BLOCK_SIZE = 256        # block size of the streaming pipeline's tower
 
 
 class CapabilityError(ValueError):
@@ -35,8 +36,6 @@ class Cut:
 class MinCutPipelineConfig:
     eps: float = 0.25
     seed: int = 0
-    block_size: int = 256
-    stream: StreamPipelineConfig | None = None   # overrides the defaults
 
     def __post_init__(self):
         if not 0 < self.eps < 1:
@@ -132,17 +131,17 @@ def _default_stream_config(cfg: MinCutPipelineConfig, n: int,
     """Split the error budget evenly between the online front-end and the
     tower, then spread the tower's share across its expected height."""
     part = math.sqrt(1.0 + cfg.eps) - 1.0
-    height = max(1, math.ceil(math.log2(max(m / cfg.block_size, 1))) + 1)
+    height = max(1, math.ceil(math.log2(max(m / _BLOCK_SIZE, 1))) + 1)
     eps_lvl = eps_per_level(part, height)
     rho = 4.0 * math.log(max(m, 2)) / (eps_lvl * eps_lvl)
     return StreamPipelineConfig(
         online=OnlineConfig(eps=part, seed=cfg.seed),
-        tree=TreeConfig(block_size=cfg.block_size, seed=cfg.seed, rho=rho),
+        tree=TreeConfig(block_size=_BLOCK_SIZE, seed=cfg.seed, rho=rho),
         m_hint=m)
 
 
 def stream_mincut(g: Graph, cfg: MinCutPipelineConfig = MinCutPipelineConfig()) -> float:
     """(1 + eps)-approximate global min cut of a streamed edge list: the
     exact min cut of its streaming sparsifier."""
-    stream_cfg = cfg.stream or _default_stream_config(cfg, g.n, g.m)
-    return stoer_wagner(stream_sparsify(g, stream_cfg)).value
+    return stoer_wagner(stream_sparsify(
+        g, _default_stream_config(cfg, g.n, g.m))).value

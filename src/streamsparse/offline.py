@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, WeightedEdge, DEFAULT_SOLVER, SolverConfig, leverages
+from .graph import Graph, WeightedEdge, leverages
 from .rng import UniformByIndex
 
 
@@ -24,20 +24,19 @@ class OfflineSampleConfig:
             raise ValueError("rho must be positive")
 
 
-def keep_probabilities(g: Graph, rho: float, cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+def keep_probabilities(g: Graph, rho: float) -> np.ndarray:
     """min(1, rho * leverage(e)) per edge; leverage is per connected
     component (the pseudoinverse handles disconnection transparently)."""
-    return np.minimum(1.0, rho * leverages(g, cfg))
+    return np.minimum(1.0, rho * leverages(g))
 
 
-def er_sparsify(g: Graph, cfg: OfflineSampleConfig,
-                solver: SolverConfig = DEFAULT_SOLVER) -> Graph:
+def er_sparsify(g: Graph, cfg: OfflineSampleConfig) -> Graph:
     """Independent effective-resistance sampling, edge order preserved.
 
     Decisions are keyed by (seed, edge index), so the output is reproducible
     regardless of iteration strategy.
     """
-    p = keep_probabilities(g, cfg.rho, solver)
+    p = keep_probabilities(g, cfg.rho)
     keep = UniformByIndex(cfg.seed).uniform_many(np.arange(g.m)) < p
     return Graph(g.n, [WeightedEdge(e.u, e.v, e.w / p[i])
                        for i, e in enumerate(g.edges) if keep[i]])

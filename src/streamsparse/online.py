@@ -229,12 +229,11 @@ class OnlineSamplerState:
 
 
 def online_sparsify(g: Graph, c: float | None = None, eps: float = 1.0,
-                    alpha: float = 4.0, lam: float | None = None,
                     seed: int = 0) -> Graph:
     """One-shot convenience wrapper over OnlineSamplerState."""
     if c is None:
-        c = default_c(g.m, eps, alpha)
-    state = OnlineSamplerState(g.n, c, lam=lam, seed=seed, eps=eps)
+        c = default_c(g.m, eps)
+    state = OnlineSamplerState(g.n, c, seed=seed, eps=eps)
     for e in g.edges:
         state.process_edge(e)
     return state.finalize()

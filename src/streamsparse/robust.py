@@ -35,13 +35,12 @@ class RobustWrapperState:
     snapshot is refreshed only at gate events."""
 
     def __init__(self, n: int, eps: float, m_hint: int = 1024, seed: int = 0,
-                 inner: OnlineSamplerState | None = None,
-                 gate: float | None = None):
+                 inner: OnlineSamplerState | None = None):
         if not 0 < eps < 8:
             raise ValueError("eps must be in (0, 8)")
         self.n = n
         self.eps = eps
-        self.gate = gate if gate is not None else 1.0 + eps / 8.0
+        self.gate = 1.0 + eps / 8.0
         if inner is None:
             inner_eps = eps / 8.0
             inner = OnlineSamplerState(n, default_c(m_hint, inner_eps),
@@ -81,17 +80,13 @@ class RobustWrapperState:
         return self.exposed
 
 
-def robust_step(state: RobustWrapperState, e: WeightedEdge) -> Graph:
-    return state.step(e)
-
-
 class RobustHyperWrapperState:
     """Hypergraph wrapper: a graph wrapper over the associated-graph stream
     at eps/(8 r^2) decides the switch times; a separate hypergraph sampler
     at eps/8 supplies the snapshots."""
 
     def __init__(self, n: int, eps: float, r: int, m_hint: int = 1024,
-                 seed: int = 0, rho: float | None = None):
+                 seed: int = 0):
         self.n = n
         self.eps = eps
         eps_graph = eps / (8.0 * r * r)
@@ -99,16 +94,13 @@ class RobustHyperWrapperState:
         self.graph_wrapper = RobustWrapperState(
             n, eps_graph, m_hint=row_hint, seed=spawn_seed(seed, 0))
         inner_eps = eps / 8.0
-        if rho is None:
-            rho = fast_rho(r, m_hint, inner_eps)
         self.sampler = HyperSamplerState(n, HyperSamplerConfig(
-            rho=rho, eps=inner_eps, seed=spawn_seed(seed, 1),
-            m_hint=row_hint))
+            rho=fast_rho(r, m_hint, inner_eps), eps=inner_eps,
+            seed=spawn_seed(seed, 1), m_hint=row_hint))
         self.exposed = Hypergraph(n)
         self.switch_count = 0
 
     def step(self, e: Hyperedge) -> Hypergraph:
-        switched = False
         before = self.graph_wrapper.switch_count
         for u, v in clique_pairs(e.vertices):
             self.graph_wrapper.step(WeightedEdge(u, v, e.w))
@@ -118,10 +110,6 @@ class RobustHyperWrapperState:
             self.exposed = self.sampler.sparsifier()
             self.switch_count += 1
         return self.exposed
-
-
-def robust_hyper_step(state: RobustHyperWrapperState, e: Hyperedge) -> Hypergraph:
-    return state.step(e)
 
 
 # -- adversary game harness ---------------------------------------------

@@ -32,12 +32,15 @@ class SlidingWindowConfig:
     eps: float = 0.5
     seed: int = 0
     rho: float | None = None         # None -> fast-variant default per carry
-    beta: float = 0.5
     identity_coreset: bool = False   # keep everything (exact mode, for tests)
 
     def __post_init__(self):
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
+        if self.rho is not None and self.rho <= 0:
+            raise ValueError("rho must be positive")
 
 
 class SlidingWindowState:
@@ -62,7 +65,7 @@ class SlidingWindowState:
         rho = self.cfg.rho
         if rho is None:
             r = max(it.edge.size for it in items)
-            rho = fast_rho(r, len(items), self.cfg.eps, beta=self.cfg.beta)
+            rho = fast_rho(r, len(items), self.cfg.eps)
         rows = sum(it.edge.size * (it.edge.size - 1) // 2 for it in items)
         seed = spawn_seed(self.cfg.seed, self.carries)
         state = HyperSamplerState(self.n, HyperSamplerConfig(

@@ -1,0 +1,26 @@
+"""Config objects reject bad values when they are built, not at first use."""
+
+import pytest
+
+from streamsparse import (ExperimentConfig, HyperSamplerConfig, OnlineConfig,
+                          SlidingWindowConfig, TreeConfig)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SlidingWindowConfig(block_size=2, eps=0),
+    lambda: SlidingWindowConfig(block_size=2, eps=-0.5),
+    lambda: SlidingWindowConfig(block_size=2, rho=0),
+    lambda: SlidingWindowConfig(block_size=2, rho=-1),
+    lambda: HyperSamplerConfig(rho=1, eps=0),
+    lambda: HyperSamplerConfig(rho=1, eps=-0.5),
+    lambda: OnlineConfig(eps=0),
+    lambda: OnlineConfig(eps=-0.5),
+    lambda: TreeConfig(block_size=4, rho=0),
+    lambda: TreeConfig(block_size=4, rho=-1),
+    lambda: ExperimentConfig(batch_size=0),
+], ids=["window-eps0", "window-eps-neg", "window-rho0", "window-rho-neg",
+        "hyper-eps0", "hyper-eps-neg", "online-eps0", "online-eps-neg",
+        "tree-rho0", "tree-rho-neg", "experiment-batch0"])
+def test_bad_values_fail_at_construction(build):
+    with pytest.raises(ValueError):
+        build()

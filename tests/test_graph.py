@@ -355,3 +355,118 @@ class TestRayleighError:
             x -= x.mean()
             q = x @ L @ x
             assert abs(x @ Lh @ x - q) <= (err + 1e-9) * q
+
+
+# Reference copies of the relative eigenvalue cutoff and the residual
+# disconnection check, written out in full at every use; the library must
+# match them bit for bit.
+REF_EIG_TOL = 1e-10
+
+
+def ref_pseudo_solve(L, b):
+    vals, vecs = np.linalg.eigh(L)
+    lam_max = vals[-1] if len(vals) else 0.0
+    if lam_max <= 0:
+        return np.zeros_like(np.asarray(b, dtype=float))
+    keep = vals > REF_EIG_TOL * lam_max
+    coeffs = vecs[:, keep].T @ b
+    return vecs[:, keep] @ (coeffs / vals[keep])
+
+
+def ref_pseudo_inverse(L):
+    vals, vecs = np.linalg.eigh(np.asarray(L, dtype=float))
+    lam_max = vals[-1] if len(vals) else 0.0
+    if lam_max <= 0:
+        return np.zeros_like(L)
+    keep = vals > REF_EIG_TOL * lam_max
+    return (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
+
+
+def ref_rayleigh_error(L, L_hat, two_sided):
+    vals, vecs = np.linalg.eigh(L)
+    lam_max = vals[-1] if len(vals) else 0.0
+    if lam_max <= 0:
+        if np.abs(L_hat).max(initial=0.0) > 1e-12:
+            raise KernelMismatchError("reference Laplacian is zero but L_hat is not")
+        return 0.0
+    keep = vals > REF_EIG_TOL * lam_max
+    V = vecs[:, keep]
+    drop = vecs[:, ~keep]
+    if drop.shape[1]:
+        spill = np.linalg.norm(drop.T @ L_hat @ drop)
+        if spill > 1e-8 * lam_max:
+            raise KernelMismatchError("approximation has energy outside image(L)")
+    scale = 1.0 / np.sqrt(vals[keep])
+    D = (V * scale).T @ (L - L_hat) @ (V * scale)
+    ev = np.linalg.eigvalsh((D + D.T) / 2.0)
+    if two_sided:
+        return float(np.abs(ev).max())
+    return float(ev.max())
+
+
+def ref_effective_resistance(L, u, v):
+    if u == v:
+        return 0.0
+    d = np.zeros(L.shape[0])
+    d[u], d[v] = 1.0, -1.0
+    x = ref_pseudo_solve(L, d)
+    if np.linalg.norm(L @ x - d) > 1e-6 * max(1.0, np.linalg.norm(d)):
+        raise DisconnectedError("not connected")
+    return float(d @ x)
+
+
+def ref_ridge_leverage_zero_lam(G, a):
+    x = ref_pseudo_solve(G, a)
+    if np.linalg.norm(G @ x - a) > 1e-6 * np.linalg.norm(a):
+        raise DisconnectedError("outside the image")
+    return float(a @ x)
+
+
+def outcome(f, *args, **kwargs):
+    """f's value, or the type of the library error it raised."""
+    try:
+        return f(*args, **kwargs)
+    except (DisconnectedError, KernelMismatchError) as exc:
+        return type(exc)
+
+
+class TestSpectralCutoff:
+    @given(split_laplacians(), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans(), st.integers(min_value=0, max_value=14))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_bit_for_bit(self, case, seed, overreach,
+                                           decades):
+        """Disconnected, all-zero and 1x1 Laplacians included: the shared
+        cutoff and disconnection helpers change no bit of any result. One
+        edge weight shrunk by up to 14 decades puts eigenvalues on both
+        sides of the relative cutoff."""
+        n, edges, us, vs = case
+        if edges:
+            edges[0] = edges[0]._replace(w=edges[0].w * 10.0 ** -decades)
+        rng = np.random.default_rng(seed)
+        g = Graph(n, edges)
+        L = laplacian(g)
+        assert np.array_equal(pseudo_inverse(L), ref_pseudo_inverse(L))
+        b = rng.standard_normal(n)
+        assert np.array_equal(pseudo_solve(L, b), ref_pseudo_solve(L, b))
+        # a reweighted subset, plus one edge that may leave image(L)
+        hat = [WeightedEdge(e.u, e.v, e.w * float(rng.uniform(0.5, 1.5)))
+               for e in edges if rng.random() < 0.7]
+        if overreach and n >= 2:
+            a, c = rng.choice(n, size=2, replace=False)
+            hat.append(WeightedEdge(int(a), int(c), 1.0))
+        L_hat = laplacian(Graph(n, hat))
+        for two_sided in (True, False):
+            assert (outcome(rayleigh_error, L, L_hat, two_sided=two_sided)
+                    == outcome(ref_rayleigh_error, L, L_hat, two_sided))
+        sketch = SpectralSketch(n)
+        for e in edges:
+            sketch.append(IncidenceRow(e.u, e.v, math.sqrt(e.w)))
+        for u, v in zip(us.tolist(), vs.tolist()):
+            assert (outcome(effective_resistance, g, u, v)
+                    == outcome(ref_effective_resistance, L, u, v))
+            if u != v:
+                row = IncidenceRow(u, v, float(rng.uniform(0.1, 3.0)))
+                assert (outcome(ridge_leverage, sketch, row, 0.0)
+                        == outcome(ref_ridge_leverage_zero_lam, sketch.gram,
+                                   row.dense(n)))

@@ -367,6 +367,37 @@ class TestCli:
         r = self.run_cli("sparsify", "--input", str(path))
         assert r.returncode == 3
 
+    def test_self_loop_is_data_error_with_line(self, tmp_path):
+        path = tmp_path / "loop.txt"
+        path.write_text("0 1 1.0\n2 2 1.0\n")
+        r = self.run_cli("sparsify", "--input", str(path))
+        assert r.returncode == 3
+        assert ":2:" in r.stderr and "self-loop" in r.stderr
+
+    def test_negative_hyperedge_vertex_is_data_error_with_line(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("1.0 2 0 1\n1.0 2 -1 2\n")
+        r = self.run_cli("hypersparsify", "--input", str(path))
+        assert r.returncode == 3
+        assert ":2:" in r.stderr
+
+    def test_hypersparsify_requires_input(self):
+        r = self.run_cli("hypersparsify")
+        assert r.returncode == 2
+        assert "--input is required" in r.stderr
+
+    def test_window_requires_input(self):
+        r = self.run_cli("window", "--window", "5")
+        assert r.returncode == 2
+        assert "--input is required" in r.stderr
+
+    def test_bench_flags_rejected_elsewhere(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1 1.0\n1 2 1.0\n")
+        r = self.run_cli("sparsify", "--input", str(path), "--trials", "3")
+        assert r.returncode == 2
+        assert "--trials" in r.stderr
+
     def test_bench_csv(self, tmp_path):
         out = tmp_path / "rows.csv"
         r = self.run_cli("bench", "--n", "20", "--m", "500", "--budget", "200",

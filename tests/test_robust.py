@@ -9,8 +9,7 @@ import pytest
 from streamsparse import (AdversaryScript, Graph, Hyperedge,
                           KernelMismatchError, OnlineSamplerState,
                           RobustHyperWrapperState, RobustWrapperState,
-                          WeightedEdge, laplacian, play_game, rayleigh_error,
-                          robust_hyper_step, robust_step)
+                          WeightedEdge, laplacian, play_game, rayleigh_error)
 from streamsparse.bench import gen_synthetic
 
 
@@ -24,7 +23,7 @@ def keep_all_state(n, eps, m_hint=1024):
 class TestGate:
     def test_first_edge_switches_once(self):
         state = keep_all_state(3, 0.5)
-        robust_step(state, WeightedEdge(0, 1, 1.0))
+        state.step(WeightedEdge(0, 1, 1.0))
         assert state.switch_count == 1
         assert state.exposed.m == 1
 
@@ -32,29 +31,29 @@ class TestGate:
         # after the first snapshot, a tiny extra parallel edge stays inside
         # the (1 + eps/8) gate, so the exposed output must not move
         state = keep_all_state(2, 0.8)
-        robust_step(state, WeightedEdge(0, 1, 1.0))
-        exposed = robust_step(state, WeightedEdge(0, 1, 0.01))
+        state.step(WeightedEdge(0, 1, 1.0))
+        exposed = state.step(WeightedEdge(0, 1, 0.01))
         assert state.switch_count == 1
         assert exposed.m == 1
 
     def test_switch_on_gate_breach(self):
         state = keep_all_state(2, 0.8)
-        robust_step(state, WeightedEdge(0, 1, 1.0))
-        exposed = robust_step(state, WeightedEdge(0, 1, 5.0))
+        state.step(WeightedEdge(0, 1, 1.0))
+        exposed = state.step(WeightedEdge(0, 1, 5.0))
         assert state.switch_count == 2
         assert exposed.m == 2
 
     def test_zero_to_nonzero_is_violation(self):
         # a new component edge leaves old eigenvalues alone but lifts a zero
         state = keep_all_state(4, 0.5)
-        robust_step(state, WeightedEdge(0, 1, 1.0))
-        robust_step(state, WeightedEdge(2, 3, 1.0))
+        state.step(WeightedEdge(0, 1, 1.0))
+        state.step(WeightedEdge(2, 3, 1.0))
         assert state.switch_count == 2
 
     def test_exposed_is_snapshot_verbatim(self):
         state = keep_all_state(2, 0.5)
         for k in range(10):
-            exposed = robust_step(state, WeightedEdge(0, 1, 1.0))
+            exposed = state.step(WeightedEdge(0, 1, 1.0))
         assert exposed.edges == state.inner.finalize().edges[:exposed.m]
 
     def test_rejects_out_of_range_before_any_change(self):
@@ -118,7 +117,7 @@ class TestParallelEdgeBound:
     def test_switch_count_bound(self, m, eps):
         state = keep_all_state(2, eps, m_hint=m)
         for _ in range(m):
-            robust_step(state, WeightedEdge(0, 1, 1.0))
+            state.step(WeightedEdge(0, 1, 1.0))
         bound = math.ceil(math.log(m) / math.log(1 + eps / 8)) + 1
         assert state.switch_count <= bound
 
@@ -126,7 +125,7 @@ class TestParallelEdgeBound:
         n, eps, m = 2, 0.5, 100
         state = keep_all_state(n, eps, m_hint=m)
         for _ in range(m):
-            robust_step(state, WeightedEdge(0, 1, 1.0))
+            state.step(WeightedEdge(0, 1, 1.0))
         lam_max, lam_min = 2.0 * m, 2.0
         bound = n * math.ceil(math.log(lam_max / lam_min)
                               / math.log(1 + eps / 8)) + n
@@ -141,16 +140,16 @@ class TestHyperWrapper:
         gswitches = []
         for u, v, w in edges:
             before = hstate.switch_count
-            robust_hyper_step(hstate, Hyperedge((u, v), w))
+            hstate.step(Hyperedge((u, v), w))
             gswitches.append(hstate.switch_count > before)
         # switches happen exactly when the internal graph wrapper switches
         assert hstate.switch_count == hstate.graph_wrapper.switch_count
 
     def test_constant_when_gate_quiet(self):
         hstate = RobustHyperWrapperState(4, 0.8, r=3, m_hint=32)
-        robust_hyper_step(hstate, Hyperedge((0, 1, 2), 1.0))
+        hstate.step(Hyperedge((0, 1, 2), 1.0))
         first = hstate.exposed
-        robust_hyper_step(hstate, Hyperedge((0, 1, 2), 1e-4))
+        hstate.step(Hyperedge((0, 1, 2), 1e-4))
         assert hstate.exposed is first
 
 
