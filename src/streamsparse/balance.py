@@ -9,10 +9,11 @@ increases with every shift, which is what guarantees termination.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -60,18 +61,68 @@ def clique_pairs(vertices) -> list[tuple[int, int]]:
     return list(itertools.combinations(sorted(vertices), 2))
 
 
-def _pair_ratios(base_gram: np.ndarray, pairs: list[tuple[int, int]],
-                 z: np.ndarray) -> np.ndarray:
-    """q_uv = d_uv^T K^+ d_uv on the z-augmented Gram matrix K.
+class _CliqueInverse(NamedTuple):
+    """C = D^T M D, where the columns of D are the pair vectors d_uv of a
+    clique and M is the grounded inverse of a sketch in one of whose
+    components the whole clique lies."""
+
+    C: np.ndarray
+
+
+@functools.cache
+def _local_incidence(r: int) -> np.ndarray:
+    """The r x C(r, 2) matrix whose columns are e_i - e_j over the pairs
+    (i, j) of range(r) in clique_pairs order. Read-only."""
+    D = np.zeros((r, r * (r - 1) // 2))
+    for k, (i, j) in enumerate(itertools.combinations(range(r), 2)):
+        D[i, k], D[j, k] = 1.0, -1.0
+    D.flags.writeable = False
+    return D
+
+
+def _ratio_base(sketch: SpectralSketch | np.ndarray,
+                e: "Hyperedge") -> _CliqueInverse | np.ndarray:
+    """What the shift loop reads the ratios of e's clique from: for a
+    SpectralSketch with the whole clique in one component, C = D^T M D from
+    the r x r block of the sketch's grounded inverse M (synced first);
+    otherwise the Gram matrix."""
+    if not isinstance(sketch, SpectralSketch):
+        return np.asarray(sketch)
+    inv = sketch._grounded_inverse()
+    if inv.straddles(e.vertices):
+        return sketch.gram
+    vs = np.array(e.vertices)
+    D = _local_incidence(len(vs))
+    return _CliqueInverse(D.T @ inv.M[vs[:, None], vs] @ D)
+
+
+def _pair_ratios(base: _CliqueInverse | np.ndarray,
+                 pairs: list[tuple[int, int]], z: np.ndarray) -> np.ndarray:
+    """q_uv = d_uv^T K^+ d_uv on the z-augmented Gram matrix
+    K = G + sum z_uv d_uv d_uv^T.
 
     The ratio tau/z of a pair equals this quadratic form for any z, which
-    also covers pairs currently at z = 0. All pairs are read from one solve
-    of K plus the projector onto its kernel, on the clique's vertex columns
-    (graph._resistance_solve); a pair straddling components of K gets the
-    pseudo-inverse value K^+_uu + K^+_vv.
+    also covers pairs currently at z = 0.
+
+    From a _CliqueInverse: K has the components of G, so the grounding of M
+    still holds for K, and Woodbury over the positive-weight pairs + gives
+    q = diag(C - C[:, +] (Z_+^{-1} + C[+, +])^{-1} C[+, :]), O(k^3) for k
+    pairs. From a Gram matrix G: one solve of K plus the projector onto its
+    kernel, on the clique's vertex columns (graph._resistance_solve); a pair
+    straddling components of K gets the pseudo-inverse value
+    K^+_uu + K^+_vv.
     """
+    if isinstance(base, _CliqueInverse):
+        C = base.C
+        pos = z > 0
+        if pos.all():
+            Cp, S = C, C + np.diag(1.0 / z)
+        else:
+            Cp = C[pos]
+            S = Cp[:, pos] + np.diag(1.0 / z[pos])
+        return C.diagonal() - (Cp * np.linalg.solve(S, Cp)).sum(axis=0)
     u, v = np.array(pairs, dtype=np.intp).T
-    K = _accumulate(base_gram.copy(), u, v, z)
+    K = _accumulate(base.copy(), u, v, z)
     return _resistance_solve(K, u, v)[0]
 
 
@@ -96,14 +147,19 @@ def get_weight_assignment(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
     Donor and recipient are the lowest-index pairs whose ratios lie within
     relative _TIE_RTOL of the smallest positive-weight and the largest ratio.
 
+    On a SpectralSketch that holds the whole clique in one component, every
+    shift reads the ratios from the sketch's grounded inverse by a k x k
+    Woodbury solve; a clique straddling components, or a Gram matrix passed
+    as an array, takes an LU solve of the n x n augmented Gram matrix.
+
     The shift amount is capped by the donor's remaining weight (keeps all
     weights non-negative and conserves the total); set literal_recipient_cap
     to reproduce the cap by the recipient's weight instead.
     """
-    base = sketch.gram if isinstance(sketch, SpectralSketch) else np.asarray(sketch)
     pairs = clique_pairs(e.vertices)
     if len(pairs) == 1:
         return WeightAssignment(pairs, np.array([e.w]))
+    base = _ratio_base(sketch, e)
     z = np.full(len(pairs), e.w / len(pairs))
     out = WeightAssignment(pairs, z, trace=[z.copy()])
     for _ in range(10_000 * len(pairs)):

@@ -22,27 +22,30 @@ from .robust import AdversaryScript, RobustWrapperState, play_game
 from .window import SlidingWindowConfig, SlidingWindowState
 
 
-def _parent() -> argparse.ArgumentParser:
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one shared flag."""
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--input", default=None)
-    p.add_argument("--output", default=None)
+    p.add_argument(*args, **kwargs)
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parent = _parent()
+    # each subcommand declares the shared flags it reads, and no others
+    seed = _flag("--seed", type=int, default=0)
+    eps = _flag("--eps", type=float, default=0.5)
+    inp = _flag("--input", default=None)
+    out = _flag("--output", default=None)
+    shared = [seed, eps, inp, out]
     top = argparse.ArgumentParser(prog="streamsparse")
     sub = top.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", parents=[parent],
+    gen = sub.add_parser("gen", parents=[seed, out],
                          help="generate a synthetic weighted edge list")
     gen.add_argument("--n", type=int, default=100)
     gen.add_argument("--m", type=int, default=10000)
     gen.add_argument("--integer", action="store_true")
 
-    sp = sub.add_parser("sparsify", parents=[parent],
+    sp = sub.add_parser("sparsify", parents=shared,
                         help="sparsify a graph edge list")
     sp.add_argument("--method", choices=("online", "merge_reduce", "streaming"),
                     default="streaming")
@@ -50,23 +53,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--snap", action="store_true",
                     help="input is a SNAP pair file (weights drawn U(1,10))")
 
-    hs = sub.add_parser("hypersparsify", parents=[parent],
+    hs = sub.add_parser("hypersparsify", parents=shared,
                         help="sparsify a hyperedge list")
     hs.add_argument("--variant", choices=("fast", "balanced"), default="fast")
 
-    mc = sub.add_parser("mincut", parents=[parent],
+    mc = sub.add_parser("mincut", parents=shared,
                         help="streaming approximate global min cut")
     mc.add_argument("--snap", action="store_true")
 
-    win = sub.add_parser("window", parents=[parent],
+    win = sub.add_parser("window", parents=shared,
                          help="sliding-window sparsifier query")
     win.add_argument("--window", type=int, required=True)
     win.add_argument("--block", type=int, default=32)
 
-    rb = sub.add_parser("robust", parents=[parent],
+    rb = sub.add_parser("robust", parents=shared,
                         help="robust wrapper over an edge stream; JSONL transcript")
 
-    bn = sub.add_parser("bench", parents=[parent],
+    bn = sub.add_parser("bench", parents=[seed, inp, out],
                         help="budget-matched method comparison")
     bn.add_argument("--trials", type=int, default=5)
     bn.add_argument("--budget", type=int, action="append", default=None)
@@ -126,15 +129,19 @@ def _cmd_sparsify(args) -> int:
     return 0
 
 
+def _write_hyperedges(h, args) -> None:
+    if args.output:
+        save_hyperedge_list(h, args.output)
+    else:
+        for e in h.hyperedges:
+            sys.stdout.write(f"{e.w!r} {e.size} "
+                             + " ".join(map(str, e.vertices)) + "\n")
+
+
 def _cmd_hypersparsify(args) -> int:
     h = load_hyperedge_list(_input(args))
     out = hyper_sparsify(h, variant=args.variant, eps=args.eps, seed=args.seed)
-    if args.output:
-        save_hyperedge_list(out, args.output)
-    else:
-        for e in out.hyperedges:
-            sys.stdout.write(f"{e.w!r} {e.size} "
-                             + " ".join(map(str, e.vertices)) + "\n")
+    _write_hyperedges(out, args)
     print(f"# kept {out.m} of {h.m} hyperedges", file=sys.stderr)
     return 0
 
@@ -143,7 +150,10 @@ def _cmd_mincut(args) -> int:
     g = _load_graph(args)
     value = stream_mincut(g, MinCutPipelineConfig(eps=min(args.eps, 0.99),
                                                   seed=args.seed))
-    print(repr(value))
+    fh = _out(args)
+    print(repr(value), file=fh)
+    if fh is not sys.stdout:
+        fh.close()
     return 0
 
 
@@ -153,10 +163,7 @@ def _cmd_window(args) -> int:
         block_size=args.block, eps=args.eps, seed=args.seed))
     for e in h.hyperedges:
         state.push(e)
-    out = state.query(args.window)
-    for e in out.hyperedges:
-        sys.stdout.write(f"{e.w!r} {e.size} "
-                         + " ".join(map(str, e.vertices)) + "\n")
+    _write_hyperedges(state.query(args.window), args)
     return 0
 
 

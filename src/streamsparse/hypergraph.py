@@ -6,9 +6,9 @@ are provided. The fast variant scores each hyperedge by the largest sketch
 resistance over its clique pairs; the balanced variant first splits the
 hyperedge weight across its pairs with a balanced assignment, which brings
 the sample count down at the cost of running the balancing loop. Both read
-the resistances from a grounded inverse of the sketch Gram matrix that is
-kept up row by row (O(n^2) per kept sketch row), so scoring a hyperedge is
-an O(r^2) gather.
+the resistances from the sketch's grounded inverse of its Gram matrix, kept
+up row by row (O(n^2) per kept sketch row), so scoring a hyperedge is an
+O(r^2) gather and a balancing shift a solve of size C(r, 2).
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .balance import clique_pairs, get_weight_assignment
-from .graph import (Graph, IncidenceRow, WeightedEdge, _GroundedInverse,
-                    _resistance)
-from .online import _REFRESH_EVERY, OnlineSamplerState, default_c
+from .graph import Graph, IncidenceRow, WeightedEdge, _resistance
+from .online import OnlineSamplerState, default_c
 from .rng import UniformByIndex, spawn_seed
 
 
@@ -162,7 +161,8 @@ class HyperSamplerState:
 
     Clique rows of every arriving hyperedge update the shared row-sampler
     sketch whether or not the hyperedge itself is kept; keep decisions are
-    keyed by (seed, hyperedge index).
+    keyed by (seed, hyperedge index). Scoring and balancing both read the
+    sketch's grounded inverse, which folds every sketch row once, in order.
     """
 
     def __init__(self, n: int, cfg: HyperSamplerConfig):
@@ -174,7 +174,10 @@ class HyperSamplerState:
         self.kept: list[tuple[Hyperedge, float]] = []  # (edge, 1/p factor)
         self.seen = 0
         self._draws = UniformByIndex(cfg.seed)
-        self._inverse = _GroundedInverse(n, _REFRESH_EVERY)
+        # built now, on the empty sketch, so every row folds in
+        self.sampler.sketch._grounded_inverse()
+        self._shifts = 0
+        self._balance_solves = 0
 
     # -- pair scoring against the sketch -------------------------------
 
@@ -182,15 +185,15 @@ class HyperSamplerState:
         """max over clique pairs of w(e) * resistance on the sketch Gram
         matrix; infinite when a pair straddles sketch components.
 
-        Sketch rows not yet folded into the grounded inverse are folded
-        first (graph._GroundedInverse, O(n^2) each); then the resistances
-        are an O(r^2) gather and the straddle test a label comparison.
+        Sketch rows not yet folded into the sketch's grounded inverse are
+        folded first (graph._GroundedInverse, O(n^2) each); then the
+        resistances are an O(r^2) gather and the straddle test a label
+        comparison.
         """
-        inv = self._inverse
-        inv.sync(self.sampler.sketch)
-        u, v = np.array(clique_pairs(e.vertices), dtype=np.intp).T
-        if (inv.labels[u] != inv.labels[v]).any():
+        inv = self.sampler.sketch._grounded_inverse()
+        if inv.straddles(e.vertices):
             return math.inf
+        u, v = np.array(clique_pairs(e.vertices), dtype=np.intp).T
         return e.w * float(_resistance(inv.M, u, v).max())
 
     def _decide(self, e: Hyperedge, p: float, score: float) -> HyperDecision:
@@ -220,11 +223,15 @@ class HyperSamplerState:
         kept; sketch rows folded into the grounded inverse, the folds that
         joined two components, full refreshes, and drift, the largest
         max |M (G + Q) - I| measured just before a refresh (0.0 before the
-        first); and the inner row sampler's stats() under "sampler"."""
-        inv = self._inverse
+        first); balancing shifts, and balancing calls that took the LU
+        solve because the clique straddled sketch components; and the inner
+        row sampler's stats() under "sampler"."""
+        inv = self.sampler.sketch._inverse
         return {"seen": self.seen, "kept": len(self.kept),
                 "folds": inv.folds, "joins": inv.joins,
                 "refreshes": inv.refreshes, "drift": inv.drift,
+                "shifts": self._shifts,
+                "balance_solves": self._balance_solves,
                 "sampler": self.sampler.stats()}
 
 
@@ -247,7 +254,11 @@ def balanced_hyper_sparsify_step(state: HyperSamplerState,
 
     A balancing failure (iteration cap) propagates as BalanceError.
     """
-    assignment = get_weight_assignment(state.sampler.sketch, e)
+    sketch = state.sampler.sketch
+    if e.size > 2 and sketch._grounded_inverse().straddles(e.vertices):
+        state._balance_solves += 1
+    assignment = get_weight_assignment(sketch, e)
+    state._shifts += max(len(assignment.trace) - 1, 0)   # a pair has no trace
     for (u, v), z in zip(assignment.pairs, assignment.z):
         if z > 0:
             state.sampler.process_row(IncidenceRow(u, v, math.sqrt(z)))

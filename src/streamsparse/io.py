@@ -29,8 +29,8 @@ def _data_lines(path):
                 yield lineno, line
 
 
-def load_edge_list(path, n: int | None = None) -> Graph:
-    """Parse "u v w" lines; n defaults to max vertex + 1."""
+def load_edge_list(path) -> Graph:
+    """Parse "u v w" lines; n is the largest vertex + 1."""
     edges = []
     top = -1
     for lineno, line in _data_lines(path):
@@ -49,11 +49,9 @@ def load_edge_list(path, n: int | None = None) -> Graph:
             raise ParseError(path, lineno, "weight must be positive and finite")
         edges.append(WeightedEdge(u, v, w))
         top = max(top, u, v)
-    if n is None:
-        n = top + 1
-    if n < 1:
+    if top < 0:
         raise ParseError(path, 0, "no edges found")
-    return Graph(n, edges)
+    return Graph(top + 1, edges)
 
 
 def save_edge_list(g: Graph, path) -> None:
@@ -62,8 +60,8 @@ def save_edge_list(g: Graph, path) -> None:
             fh.write(f"{u} {v} {w!r}\n")
 
 
-def load_hyperedge_list(path, n: int | None = None) -> Hypergraph:
-    """Parse "w k v1 v2 ... vk" lines; n defaults to max vertex + 1."""
+def load_hyperedge_list(path) -> Hypergraph:
+    """Parse "w k v1 v2 ... vk" lines; n is the largest vertex + 1."""
     hyperedges = []
     top = -1
     for lineno, line in _data_lines(path):
@@ -84,11 +82,9 @@ def load_hyperedge_list(path, n: int | None = None) -> Hypergraph:
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
         top = max(top, *verts)
-    if n is None:
-        n = top + 1
-    if n < 1:
+    if top < 0:
         raise ParseError(path, 0, "no hyperedges found")
-    return Hypergraph(n, hyperedges)
+    return Hypergraph(top + 1, hyperedges)
 
 
 def save_hyperedge_list(h: Hypergraph, path) -> None:

@@ -126,7 +126,7 @@ def enumerate_near_min_cuts(g: Graph, factor: float) -> list[Cut]:
             for i in np.flatnonzero(values <= cutoff) if i > 0]
 
 
-def _default_stream_config(cfg: MinCutPipelineConfig, n: int,
+def _default_stream_config(cfg: MinCutPipelineConfig,
                            m: int) -> StreamPipelineConfig:
     """Split the error budget evenly between the online front-end and the
     tower, then spread the tower's share across its expected height."""
@@ -144,4 +144,4 @@ def stream_mincut(g: Graph, cfg: MinCutPipelineConfig = MinCutPipelineConfig()) 
     """(1 + eps)-approximate global min cut of a streamed edge list: the
     exact min cut of its streaming sparsifier."""
     return stoer_wagner(stream_sparsify(
-        g, _default_stream_config(cfg, g.n, g.m))).value
+        g, _default_stream_config(cfg, g.m))).value

@@ -17,10 +17,9 @@ from typing import Protocol
 import numpy as np
 
 from .graph import (Graph, IncidenceRow, SpectralSketch, WeightedEdge,
-                    _resistance, _stamp, pseudo_inverse)
+                    _REFRESH_EVERY, _resistance, _stamp, pseudo_inverse)
 from .rng import UniformByIndex
 
-_REFRESH_EVERY = 512   # folds between full inverse refreshes
 _BLOCK = 32            # pending rank-1 terms folded into K0 by one GEMM
 
 

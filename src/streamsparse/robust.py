@@ -148,11 +148,10 @@ class Transcript:
                     "valid": r.valid}) + "\n")
 
 
-def play_game(adversary: AdversaryScript, state: RobustWrapperState,
-              eps: float | None = None) -> Transcript:
+def play_game(adversary: AdversaryScript,
+              state: RobustWrapperState) -> Transcript:
     """Drive the two-player loop and check the exposed output against the
-    exact prefix Laplacian every round."""
-    eps = eps if eps is not None else state.eps
+    exact prefix Laplacian every round, within the wrapper's eps."""
     transcript = Transcript()
     history: list[Graph] = []
     prefix = Graph(state.n, [])
@@ -169,6 +168,6 @@ def play_game(adversary: AdversaryScript, state: RobustWrapperState,
         transcript.records.append(TranscriptRecord(
             round=t, edge=(e.u, e.v, e.w),
             switched=state.switch_count > before,
-            error=float(err), valid=bool(err <= eps)))
+            error=float(err), valid=bool(err <= state.eps)))
     transcript.switch_count = state.switch_count
     return transcript

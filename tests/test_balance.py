@@ -1,15 +1,19 @@
 """Balanced clique weight assignments and the spanning-tree potential."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamsparse import (BalanceConfig, Graph, IncidenceRow, SpectralSketch,
                           WeightedEdge, get_weight_assignment, Hyperedge,
                           is_balanced, st_potential)
 from streamsparse import balance
-from streamsparse.balance import augmented_graph, clique_pairs, _pair_ratios
+from streamsparse.balance import (augmented_graph, clique_pairs, _pair_ratios,
+                                  _ratio_base)
+from streamsparse.graph import _accumulate, _resistance_solve
 
 
 def star_sketch(n, center=0, w=1.0):
@@ -162,3 +166,121 @@ class TestTieBreak:
                 got = get_weight_assignment(sk, e, cfg)
                 assert self._moves(got) == moves
                 assert np.allclose(got.z, want.z, rtol=1e-9)
+
+
+def _components_of(n, pairs):
+    """Vertex sets of the components of the graph with these edges."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    comps = {}
+    for x in range(n):
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())
+
+
+@st.composite
+def chunked_sketches(draw):
+    """(n, chunks): sketch rows over n vertices, each vertex in group 0, 1
+    or 2; rows join vertices of group 0 or 1 only, pairs may repeat, so
+    the sketch has several components and isolated vertices. The rows
+    arrive in chunks, each followed by cliques of 2 to 4 vertices, half of
+    them drawn inside one component of the rows so far, with weights
+    z >= 0, some of them 0."""
+    n = draw(st.integers(min_value=4, max_value=9))
+    group = draw(st.lists(st.integers(min_value=0, max_value=2),
+                          min_size=n, max_size=n))
+    linked = [(a, b) for a, b in itertools.combinations(range(n), 2)
+              if group[a] == group[b] < 2]
+    weight = st.floats(min_value=0.1, max_value=10.0)
+    rows = draw(st.lists(st.tuples(st.sampled_from(linked), weight),
+                         max_size=3 * n)) if linked else []
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=len(rows)),
+                                max_size=2)))
+    chunks = []
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        inside = [c for c in _components_of(n, [p for p, _ in rows[:hi]])
+                  if len(c) > 1]
+        cliques = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            pool = list(range(n))
+            if inside and draw(st.booleans()):
+                pool = draw(st.sampled_from(inside))
+            k = draw(st.integers(min_value=2, max_value=min(4, len(pool))))
+            verts = draw(st.lists(st.sampled_from(pool), min_size=k,
+                                  max_size=k, unique=True))
+            z = draw(st.lists(st.one_of(st.just(0.0), weight),
+                              min_size=k * (k - 1) // 2,
+                              max_size=k * (k - 1) // 2))
+            cliques.append((tuple(verts), np.array(z)))
+        chunks.append((rows[lo:hi], cliques))
+    return n, chunks
+
+
+class TestSketchInverseRatios:
+    @given(chunked_sketches())
+    @settings(max_examples=150, deadline=None)
+    def test_ratios_match_the_augmented_solve(self, case):
+        # the ratios the shift loop reads from a sketch equal the LU solve
+        # on the z-augmented Gram matrix, for cliques inside one component
+        # (read from the grounded inverse) and straddling ones alike, with
+        # rows appended between reads
+        n, chunks = case
+        sk = SpectralSketch(n)
+        for rows, cliques in chunks:
+            for (u, v), w in rows:
+                sk.append(IncidenceRow(u, v, math.sqrt(w)))
+            for verts, z in cliques:
+                e = Hyperedge(verts, 1.0)
+                pairs = clique_pairs(e.vertices)
+                u, v = np.array(pairs).T
+                K = _accumulate(sk.gram.copy(), u, v, z)
+                want = _resistance_solve(K, u, v)[0]
+                got = _pair_ratios(_ratio_base(sk, e), pairs, z)
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    @given(chunked_sketches(), st.sampled_from((1.2, 2.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_sketch_and_gram_make_the_same_moves(self, case, gamma):
+        n, chunks = case
+        cfg = BalanceConfig(gamma=gamma)
+        sk = SpectralSketch(n)
+        for rows, cliques in chunks:
+            for (u, v), w in rows:
+                sk.append(IncidenceRow(u, v, math.sqrt(w)))
+            for verts, z in cliques:
+                e = Hyperedge(verts, 1.0 + z.sum())
+                got = get_weight_assignment(sk, e, cfg)
+                want = get_weight_assignment(sk.gram.copy(), e, cfg)
+                assert (TestTieBreak._moves(got)
+                        == TestTieBreak._moves(want))
+                np.testing.assert_allclose(got.z, want.z, rtol=1e-9,
+                                           atol=1e-12)
+
+    def test_balancing_leaves_the_inverse_as_it_is(self):
+        # components {0..3} (a heavy pair and a cycle) and {4, 5, 6};
+        # vertex 7 isolated
+        sk = SpectralSketch(8)
+        for u, v, w in ((1, 2, 50.0), (0, 1, 1.0), (1, 3, 2.0), (0, 3, 0.5),
+                        (4, 5, 1.0), (5, 6, 3.0)):
+            sk.append(IncidenceRow(u, v, math.sqrt(w)))
+        inv = sk._grounded_inverse()
+        before = (inv.M.copy(), inv.labels.copy(), inv.folds, inv.joins,
+                  inv.refreshes)
+        shifted = 0
+        for verts in ((0, 1, 2, 3), (1, 2, 3), (4, 5, 6), (2, 3, 5), (0, 7)):
+            e = Hyperedge(verts, 2.0)
+            wa = get_weight_assignment(sk, e, BalanceConfig(gamma=1.2))
+            assert is_balanced(sk, e, wa.z, 1.2)
+            shifted += len(wa.trace) - 1
+        assert shifted > 0
+        assert sk._inverse is inv
+        assert np.array_equal(inv.M, before[0])
+        assert np.array_equal(inv.labels, before[1])
+        assert (inv.folds, inv.joins, inv.refreshes) == before[2:]

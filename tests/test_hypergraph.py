@@ -13,8 +13,8 @@ from streamsparse import (Graph, Hyperedge, Hypergraph, HyperSamplerConfig,
                           HyperSamplerState, IncidenceRow, associated_graph,
                           balanced_rho, fast_rho, hyper_energy, hyper_sparsify,
                           laplacian, pseudo_inverse, quantize_weight)
-from streamsparse import hypergraph
-from streamsparse.graph import _components, _resistance
+from streamsparse import graph, hypergraph
+from streamsparse.graph import _GroundedInverse, _components, _resistance
 from streamsparse.hypergraph import _rescaled
 
 
@@ -271,7 +271,8 @@ class TestSamplers:
         state = HyperSamplerState(8, HyperSamplerConfig(rho=0.05, seed=2))
         assert state.stats() == {
             "seen": 0, "kept": 0, "folds": 0, "joins": 0, "refreshes": 0,
-            "drift": 0.0, "sampler": state.sampler.stats()}
+            "drift": 0.0, "shifts": 0, "balance_solves": 0,
+            "sampler": state.sampler.stats()}
         for e in h.hyperedges:
             state.step(e)
         stats = state.stats()
@@ -279,6 +280,34 @@ class TestSamplers:
         assert 0 < stats["kept"] == len(state.kept) < 40
         assert stats["folds"] == len(state.sampler.sketch)
         assert stats["sampler"] == state.sampler.stats()
+
+    def test_balancing_stats(self, monkeypatch):
+        # shifts add up the balancing traces; an LU balancing solve happens
+        # only for a clique that straddles sketch components
+        assignments = []
+        real = hypergraph.get_weight_assignment
+
+        def recording(sketch, e, *args):
+            assignments.append(real(sketch, e, *args))
+            return assignments[-1]
+
+        monkeypatch.setattr(hypergraph, "get_weight_assignment", recording)
+        rng = np.random.default_rng(13)
+        h = random_hypergraph(rng, n=8, m=60, r=4)
+        cfg = HyperSamplerConfig(rho=1.0, variant="balanced", seed=1)
+        state = HyperSamplerState(8, cfg)
+        for e in h.hyperedges:
+            state.step(e)
+        stats = state.stats()
+        assert stats["shifts"] == sum(len(a.trace) - 1 for a in assignments
+                                      if a.trace) > 0
+        assert 0 < stats["balance_solves"] <= len(assignments) == 60
+        connected = HyperSamplerState(8, cfg)
+        for v in range(7):
+            connected.sampler.sketch.append(IncidenceRow(v, v + 1, 1.0))
+        for e in h.hyperedges:
+            connected.step(e)
+        assert connected.stats()["balance_solves"] == 0
 
     def test_determinism(self):
         rng = np.random.default_rng(9)
@@ -319,16 +348,16 @@ class TestMaintainedScores:
         # on the sketch, or inf across components, and the maintained
         # labels partition the vertices as the sketch's components do
         n, cfg, refresh_every, stream = case
-        with mock.patch.object(hypergraph, "_REFRESH_EVERY", refresh_every):
+        with mock.patch.object(graph, "_REFRESH_EVERY", refresh_every):
             state = HyperSamplerState(n, cfg)
         a, b = np.triu_indices(n, 1)
         for e in stream:
             state.step(e)
             G = state.sampler.sketch.gram
             labels = _components(G)
-            assert np.array_equal(
-                state._inverse.labels[:, None] == state._inverse.labels,
-                labels[:, None] == labels)
+            inv = state.sampler.sketch._inverse
+            assert np.array_equal(inv.labels[:, None] == inv.labels,
+                                  labels[:, None] == labels)
             Gp = pseudo_inverse(G)
             for x, y in zip(a, b):
                 got = state._pair_scores(Hyperedge((int(x), int(y)), 1.0))
@@ -342,6 +371,23 @@ class TestMaintainedScores:
             assert stats["joins"] == n - np.unique(labels).size
         assert stats["refreshes"] <= stats["folds"] // refresh_every
 
+    def test_balancing_and_scoring_share_one_inverse(self):
+        # the sketch's inverse folds every sketch row once, in order, bit
+        # for bit as a fresh inverse folding the same rows does
+        rng = np.random.default_rng(12)
+        h = random_hypergraph(rng, n=10, m=300, r=4)
+        state = HyperSamplerState(10, HyperSamplerConfig(
+            rho=1.0, variant="balanced", m_hint=900))
+        ref = _GroundedInverse(10, graph._REFRESH_EVERY)
+        for e in h.hyperedges:
+            state.step(e)
+            ref.sync(state.sampler.sketch)
+        inv = state.sampler.sketch._inverse
+        assert inv.refreshes >= 1 and state.stats()["shifts"] > 0
+        assert np.array_equal(inv.M, ref.M)
+        assert np.array_equal(inv.labels, ref.labels)
+        assert (inv.folds, inv.joins) == (ref.folds, ref.joins)
+
     def test_refreshes_on_a_long_stream(self):
         rng = np.random.default_rng(11)
         h = random_hypergraph(rng, n=10, m=600, r=4)
@@ -351,7 +397,7 @@ class TestMaintainedScores:
             for e in h.hyperedges:
                 state.step(e)
             stats = state.stats()
-            assert stats["folds"] >= hypergraph._REFRESH_EVERY
+            assert stats["folds"] >= graph._REFRESH_EVERY
             assert stats["refreshes"] >= 1
             assert 0 < stats["drift"] < 1e-9
             assert stats["joins"] == 9

@@ -416,3 +416,36 @@ class TestCli:
                          "--block", "4")
         assert r.returncode == 0
         assert len(r.stdout.strip().splitlines()) >= 1
+
+    def test_window_output_writes_the_file(self, tmp_path):
+        path, out = tmp_path / "h.txt", tmp_path / "w.txt"
+        lines = [f"1.0 2 {i % 4} {(i + 1) % 4}" for i in range(20)]
+        path.write_text("\n".join(lines) + "\n")
+        r = self.run_cli("window", "--input", str(path), "--window", "5",
+                         "--block", "4", "--output", str(out))
+        assert r.returncode == 0 and r.stdout == ""
+        assert load_hyperedge_list(out).m >= 1
+
+    def test_mincut_output_writes_the_file(self, tmp_path):
+        path, out = tmp_path / "c8.txt", tmp_path / "cut.txt"
+        edges = [f"{i} {(i + 1) % 8} 1.0" for i in range(8)]
+        path.write_text("\n".join(edges) + "\n")
+        r = self.run_cli("mincut", "--input", str(path), "--output", str(out))
+        assert r.returncode == 0 and r.stdout == ""
+        assert 1.6 <= float(out.read_text().strip()) <= 2.5
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("gen", "--eps", "0.5"),
+        ("gen", "--input", "g.txt"),
+        ("bench", "--eps", "0.5"),
+    ])
+    def test_unread_shared_flags_rejected(self, tmp_path, command, flag,
+                                          value):
+        # small sizes, so that a command accepting the flag ends quickly
+        r = self.run_cli(command, "--n", "20", "--m", "100", flag, value,
+                         *(("--budget", "50", "--trials", "1", "--methods",
+                            "online") if command == "bench" else ()),
+                         "--output", str(tmp_path / "out.txt"))
+        assert r.returncode == 2
+        assert flag in r.stderr
+        assert not (tmp_path / "out.txt").exists()

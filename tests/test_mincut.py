@@ -102,7 +102,7 @@ class TestStreaming:
         rng = np.random.default_rng(3)
         g = gen_synthetic(10, 400, seed=11)
         cfg = MinCutPipelineConfig(eps=0.3, seed=1)
-        sp = stream_sparsify(g, _default_stream_config(cfg, g.n, g.m))
+        sp = stream_sparsify(g, _default_stream_config(cfg, g.m))
         for _ in range(100):
             side = {int(v) for v in rng.choice(10, size=rng.integers(1, 10),
                                                replace=False)}
@@ -125,6 +125,6 @@ class TestStreaming:
         for seed in range(8):
             g = random_connected(rng, int(rng.integers(3, 13)), extra=20)
             cfg = MinCutPipelineConfig(eps=0.25, seed=seed)
-            sp = stream_sparsify(g, _default_stream_config(cfg, g.n, g.m))
+            sp = stream_sparsify(g, _default_stream_config(cfg, g.m))
             best = min(c.value for c in enumerate_near_min_cuts(sp, 1.0))
             assert stream_mincut(g, cfg) == pytest.approx(best, rel=1e-12)
