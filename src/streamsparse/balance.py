@@ -9,7 +9,6 @@ increases with every shift, which is what guarantees termination.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .graph import (Graph, SpectralSketch, WeightedEdge, _accumulate,
-                    _resistance_solve, laplacian)
+                    _resistance, _resistance_solve, laplacian)
 
 if TYPE_CHECKING:
     from .hypergraph import Hyperedge
@@ -52,6 +51,7 @@ class WeightAssignment:
     pairs: list[tuple[int, int]]
     z: np.ndarray
     trace: list[np.ndarray] = field(default_factory=list)  # z after each shift
+    _lu_base: bool = False   # ratios read by LU solves of the Gram matrix
 
     def as_dict(self) -> dict[tuple[int, int], float]:
         return {p: float(zi) for p, zi in zip(self.pairs, self.z)}
@@ -61,42 +61,33 @@ def clique_pairs(vertices) -> list[tuple[int, int]]:
     return list(itertools.combinations(sorted(vertices), 2))
 
 
-class _CliqueInverse(NamedTuple):
-    """C = D^T M D, where the columns of D are the pair vectors d_uv of a
-    clique and M is the grounded inverse of a sketch in one of whose
-    components the whole clique lies."""
+class _CliqueBlock(NamedTuple):
+    """The r x r block S = M[vs][:, vs] of a sketch's grounded inverse M on
+    the sorted vertices vs of a clique that lies in one sketch component,
+    and the local indices (iu, iv) into vs of the clique's pairs."""
 
-    C: np.ndarray
-
-
-@functools.cache
-def _local_incidence(r: int) -> np.ndarray:
-    """The r x C(r, 2) matrix whose columns are e_i - e_j over the pairs
-    (i, j) of range(r) in clique_pairs order. Read-only."""
-    D = np.zeros((r, r * (r - 1) // 2))
-    for k, (i, j) in enumerate(itertools.combinations(range(r), 2)):
-        D[i, k], D[j, k] = 1.0, -1.0
-    D.flags.writeable = False
-    return D
+    S: np.ndarray
+    iu: np.ndarray
+    iv: np.ndarray
 
 
 def _ratio_base(sketch: SpectralSketch | np.ndarray,
-                e: "Hyperedge") -> _CliqueInverse | np.ndarray:
+                e: "Hyperedge") -> _CliqueBlock | np.ndarray:
     """What the shift loop reads the ratios of e's clique from: for a
-    SpectralSketch with the whole clique in one component, C = D^T M D from
-    the r x r block of the sketch's grounded inverse M (synced first);
-    otherwise the Gram matrix."""
+    SpectralSketch with the whole clique in one component, the clique's
+    block of the sketch's grounded inverse (synced first); otherwise the
+    Gram matrix."""
     if not isinstance(sketch, SpectralSketch):
         return np.asarray(sketch)
     inv = sketch._grounded_inverse()
     if inv.straddles(e.vertices):
         return sketch.gram
     vs = np.array(e.vertices)
-    D = _local_incidence(len(vs))
-    return _CliqueInverse(D.T @ inv.M[vs[:, None], vs] @ D)
+    iu, iv = np.array(clique_pairs(range(vs.size)), dtype=np.intp).T
+    return _CliqueBlock(inv.M[vs[:, None], vs], iu, iv)
 
 
-def _pair_ratios(base: _CliqueInverse | np.ndarray,
+def _pair_ratios(base: _CliqueBlock | np.ndarray,
                  pairs: list[tuple[int, int]], z: np.ndarray) -> np.ndarray:
     """q_uv = d_uv^T K^+ d_uv on the z-augmented Gram matrix
     K = G + sum z_uv d_uv d_uv^T.
@@ -104,23 +95,22 @@ def _pair_ratios(base: _CliqueInverse | np.ndarray,
     The ratio tau/z of a pair equals this quadratic form for any z, which
     also covers pairs currently at z = 0.
 
-    From a _CliqueInverse: K has the components of G, so the grounding of M
-    still holds for K, and Woodbury over the positive-weight pairs + gives
-    q = diag(C - C[:, +] (Z_+^{-1} + C[+, +])^{-1} C[+, :]), O(k^3) for k
-    pairs. From a Gram matrix G: one solve of K plus the projector onto its
-    kernel, on the clique's vertex columns (graph._resistance_solve); a pair
-    straddling components of K gets the pseudo-inverse value
-    K^+_uu + K^+_vv.
+    From a _CliqueBlock: K has the components of G, so the grounding Q of
+    M = (G + Q)^{-1} still holds for K, and with L_z the clique's
+    z-weighted Laplacian on its r vertices the r x r block of
+    (K + Q)^{-1} is B = (I + S L_z)^{-1} S, an O(r^3) solve. From a Gram
+    matrix G: one solve of K plus the projector onto its kernel, on the
+    clique's vertex columns (graph._resistance_solve); a pair straddling
+    components of K gets the pseudo-inverse value K^+_uu + K^+_vv.
     """
-    if isinstance(base, _CliqueInverse):
-        C = base.C
-        pos = z > 0
-        if pos.all():
-            Cp, S = C, C + np.diag(1.0 / z)
-        else:
-            Cp = C[pos]
-            S = Cp[:, pos] + np.diag(1.0 / z[pos])
-        return C.diagonal() - (Cp * np.linalg.solve(S, Cp)).sum(axis=0)
+    if isinstance(base, _CliqueBlock):
+        S, iu, iv = base
+        r = len(S)
+        W = np.zeros((r, r))
+        W[iu, iv] = z
+        W += W.T
+        L = np.diag(W.sum(axis=1)) - W
+        return _resistance(np.linalg.solve(np.eye(r) + S @ L, S), iu, iv)
     u, v = np.array(pairs, dtype=np.intp).T
     K = _accumulate(base.copy(), u, v, z)
     return _resistance_solve(K, u, v)[0]
@@ -148,9 +138,10 @@ def get_weight_assignment(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
     relative _TIE_RTOL of the smallest positive-weight and the largest ratio.
 
     On a SpectralSketch that holds the whole clique in one component, every
-    shift reads the ratios from the sketch's grounded inverse by a k x k
-    Woodbury solve; a clique straddling components, or a Gram matrix passed
-    as an array, takes an LU solve of the n x n augmented Gram matrix.
+    shift reads the ratios from the clique's r x r block of the sketch's
+    grounded inverse by an r x r solve; a clique straddling components, or a
+    Gram matrix passed as an array, takes an LU solve of the n x n augmented
+    Gram matrix, and the assignment records that in _lu_base.
 
     The shift amount is capped by the donor's remaining weight (keeps all
     weights non-negative and conserves the total); set literal_recipient_cap
@@ -161,7 +152,8 @@ def get_weight_assignment(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
         return WeightAssignment(pairs, np.array([e.w]))
     base = _ratio_base(sketch, e)
     z = np.full(len(pairs), e.w / len(pairs))
-    out = WeightAssignment(pairs, z, trace=[z.copy()])
+    out = WeightAssignment(pairs, z, trace=[z.copy()],
+                           _lu_base=not isinstance(base, _CliqueBlock))
     for _ in range(10_000 * len(pairs)):
         q = _pair_ratios(base, pairs, z)
         q_pos = np.where(z > 0, q, np.inf)

@@ -153,12 +153,6 @@ def _resistance_solve(G: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
 _REFRESH_EVERY = 512   # folds between full refreshes of a maintained inverse
 
 
-def _grounded(G: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """G + Q, where Q puts a 1 on the diagonal at every root (a vertex that
-    labels itself)."""
-    return G + np.diag((labels == np.arange(G.shape[0])).astype(float))
-
-
 class _GroundedInverse:
     """M = (G + Q)^{-1} for the Gram matrix G of a growing SpectralSketch,
     with Q = sum_r e_r e_r^T grounding every component of G at one root
@@ -172,22 +166,6 @@ class _GroundedInverse:
     root. A sync that brings the folds since the last refresh to
     refresh_every ends by recomputing M as inv(G + Q).
     """
-
-    @classmethod
-    def of(cls, sketch: SpectralSketch) -> _GroundedInverse:
-        """The inverse of the sketch as it stands, refreshed every
-        _REFRESH_EVERY folds: the identity for an empty sketch, else one
-        inv(G + Q) with labels from _components; its rows count as folded
-        and its merged components as joins."""
-        inv = cls(sketch.n, _REFRESH_EVERY)
-        if sketch.rows:
-            G = sketch.gram
-            inv.labels = _components(G)
-            inv._size = np.bincount(inv.labels, minlength=sketch.n)
-            inv.M = np.linalg.inv(_grounded(G, inv.labels))
-            inv.folds = len(sketch.rows)
-            inv.joins = sketch.n - np.count_nonzero(inv._size)
-        return inv
 
     def __init__(self, n: int, refresh_every: int):
         self.M = np.eye(n)                  # G = 0: every vertex a root
@@ -237,9 +215,9 @@ class _GroundedInverse:
 
     def _refresh(self, G: np.ndarray) -> None:
         """Recompute M from G, first recording max |M (G + Q) - I|."""
-        A = _grounded(G, self.labels)
-        self.drift = max(self.drift,
-                         float(np.abs(self.M @ A - np.eye(G.shape[0])).max()))
+        n = G.shape[0]
+        A = G + np.diag((self.labels == np.arange(n)).astype(float))
+        self.drift = max(self.drift, float(np.abs(self.M @ A - np.eye(n)).max()))
         self.M = np.linalg.inv(A)
         self._since_refresh = 0
         self.refreshes += 1
@@ -354,7 +332,7 @@ class SpectralSketch:
     def _grounded_inverse(self) -> _GroundedInverse:
         """The grounded inverse with every row appended so far folded in."""
         if self._inverse is None:
-            self._inverse = _GroundedInverse.of(self)
+            self._inverse = _GroundedInverse(self.n, _REFRESH_EVERY)
         self._inverse.sync(self)
         return self._inverse
 

@@ -8,7 +8,7 @@ hyperedge weight across its pairs with a balanced assignment, which brings
 the sample count down at the cost of running the balancing loop. Both read
 the resistances from the sketch's grounded inverse of its Gram matrix, kept
 up row by row (O(n^2) per kept sketch row), so scoring a hyperedge is an
-O(r^2) gather and a balancing shift a solve of size C(r, 2).
+O(r^2) gather and a balancing shift within one component an r x r solve.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ class HyperSamplerState:
         self.kept: list[tuple[Hyperedge, float]] = []  # (edge, 1/p factor)
         self.seen = 0
         self._draws = UniformByIndex(cfg.seed)
-        # built now, on the empty sketch, so every row folds in
+        # built now, so stats() has an inverse to read before any step
         self.sampler.sketch._grounded_inverse()
         self._shifts = 0
         self._balance_solves = 0
@@ -254,11 +254,9 @@ def balanced_hyper_sparsify_step(state: HyperSamplerState,
 
     A balancing failure (iteration cap) propagates as BalanceError.
     """
-    sketch = state.sampler.sketch
-    if e.size > 2 and sketch._grounded_inverse().straddles(e.vertices):
-        state._balance_solves += 1
-    assignment = get_weight_assignment(sketch, e)
+    assignment = get_weight_assignment(state.sampler.sketch, e)
     state._shifts += max(len(assignment.trace) - 1, 0)   # a pair has no trace
+    state._balance_solves += assignment._lu_base
     for (u, v), z in zip(assignment.pairs, assignment.z):
         if z > 0:
             state.sampler.process_row(IncidenceRow(u, v, math.sqrt(z)))

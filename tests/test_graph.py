@@ -186,28 +186,6 @@ class TestGroundedInverse:
         if every == 1:
             assert inv.refreshes == len(edges) // refresh_every
 
-    @given(split_laplacians())
-    @settings(max_examples=100, deadline=None)
-    def test_sketch_builds_its_inverse_from_the_rows_it_has(self, case):
-        # a sketch's first read with rows present is one inv(G + Q); it
-        # agrees with an inverse that folded every row, and folds on
-        n, edges, _, _ = case
-        sketch, folded = SpectralSketch(n), _GroundedInverse(n, 512)
-        a, b = np.triu_indices(n, 1)
-        half = len(edges) // 2
-        for part in (edges[:half], edges[half:]):
-            for u, v, w in part:
-                sketch.append(IncidenceRow(u, v, math.sqrt(w)))
-            inv = sketch._grounded_inverse()
-            folded.sync(sketch)
-            assert np.array_equal(same_component(inv.labels),
-                                  same_component(folded.labels))
-            assert (inv.folds, inv.joins) == (folded.folds, folded.joins)
-            inside = inv.labels[a] == inv.labels[b]
-            np.testing.assert_allclose(_resistance(inv.M, a, b)[inside],
-                                       _resistance(folded.M, a, b)[inside],
-                                       rtol=1e-9, atol=1e-12)
-
     def test_refresh_records_drift(self):
         rng = np.random.default_rng(0)
         n = 10

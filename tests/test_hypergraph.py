@@ -283,11 +283,13 @@ class TestSamplers:
 
     def test_balancing_stats(self, monkeypatch):
         # shifts add up the balancing traces; an LU balancing solve happens
-        # only for a clique that straddles sketch components
-        assignments = []
+        # exactly for a clique of 3+ vertices that straddles sketch components
+        assignments, straddling = [], []
         real = hypergraph.get_weight_assignment
 
         def recording(sketch, e, *args):
+            labels = _components(sketch.gram)[list(e.vertices)]
+            straddling.append(e.size > 2 and (labels != labels[0]).any())
             assignments.append(real(sketch, e, *args))
             return assignments[-1]
 
@@ -302,6 +304,7 @@ class TestSamplers:
         assert stats["shifts"] == sum(len(a.trace) - 1 for a in assignments
                                       if a.trace) > 0
         assert 0 < stats["balance_solves"] <= len(assignments) == 60
+        assert stats["balance_solves"] == sum(straddling)
         connected = HyperSamplerState(8, cfg)
         for v in range(7):
             connected.sampler.sketch.append(IncidenceRow(v, v + 1, 1.0))
