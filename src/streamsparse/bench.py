@@ -245,9 +245,9 @@ def _tune_tree_knob(count_one, count_of, budget: int,
     the budget window can be reached in several teeth. Larger blocks mean
     shallower trees and better accuracy, so teeth are scanned from the top
     with a cheap one-probe count, confirming hits with the full probe mean.
-    The counts may ask for a block twice, or for blocks above the push
-    count of a tower that never carried, which run identically; _tune
-    answers both from its probe cache without a run.
+    The counts may ask for a block twice, or, on a trial whose tower never
+    merged, for any block above half its push count, which runs
+    identically; _tune answers both from its probe cache without a run.
     """
     best: tuple[float, float, float] | None = None  # (gap, block, count)
 
@@ -297,13 +297,17 @@ def _tune(cfg: ExperimentConfig, method: str, budget: int,
     constant and a warning when the budget is out of reach.
 
     A tower sweep reads its probe counts through one cache per call, keyed
-    by (trial index, block). A probe whose tower never carried (fewer
-    pushes than its block) also answers every larger block on its trial.
-    Both rules are exact: the block size is read only by the carry test and
-    the reductions a carry starts, so without a carry the tower, the Gram,
-    version and last_delta the streaming sampler scores against, and hence
-    every keep and the peak count are the same for any block above the
-    push count.
+    by (trial index, block). A probe whose tower never merged (height at
+    most 1, so at most one carry: P pushes with 2 * block > P) also answers
+    every block b with 2 * b > P on its trial. Both rules are exact: the
+    block size is read only by the carry test and the reductions a carry
+    starts, and a carry that only parks the block at an empty level 0
+    changes neither the items, their order, the Gram, version nor
+    last_delta. So up to the first merge, at push 2 * b, the tower the
+    streaming sampler scores against, and hence every keep and the peak
+    count, are the same for any block; with 2 * b > P that push never
+    comes. The height, not merges, marks a merge, since the identity
+    reducer does not count them.
     """
     # sweep to a tighter internal target so the final-trial mean still
     # lands inside the reported tolerance
@@ -325,12 +329,12 @@ def _tune(cfg: ExperimentConfig, method: str, budget: int,
 
         def count_at(t: _Trial, block: int) -> int:
             pushes, stored = flat.get(t.index, (math.inf, 0))
-            if block > pushes:
+            if 2 * block > pushes:
                 return stored
             if (t.index, block) not in seen:
                 stored, _, tree = _run_one(t, method,
                                            {**params, "block_size": block})
-                if tree.height == 0:
+                if tree.height <= 1:
                     flat[t.index] = (tree.pushed, stored)
                 seen[t.index, block] = stored
             return seen[t.index, block]

@@ -63,6 +63,16 @@ class Graph:
         self.edges.append(e)
 
 
+def _unchecked_graph(n: int, edges: list[WeightedEdge]) -> Graph:
+    """A Graph over edges already known to be valid for n, built without
+    the per-edge checks of Graph(...): for graphs made of edges that were
+    checked on the way in, such as a tower's coresets and their union."""
+    g = object.__new__(Graph)
+    g.n = n
+    g.edges = edges
+    return g
+
+
 class DisconnectedError(ValueError):
     """Raised when a pair of vertices lies in different components (the
     effective resistance would be infinite)."""

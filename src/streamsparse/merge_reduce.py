@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import Graph, WeightedEdge, _accumulate, _columns, _stamp
+from .graph import (Graph, WeightedEdge, _accumulate, _columns, _stamp,
+                    _unchecked_graph)
 from .offline import OfflineSampleConfig, er_sparsify
 from .online import OnlineSamplerState, default_c
 from .rng import spawn_seed
@@ -51,11 +52,14 @@ class MergeReduceTree:
         self.levels: list[list[WeightedEdge] | None] = []
         self.pushed = 0
         self.merges = 0
+        self.carries = 0
         self.peak_resident = 0
-        self.version = 0            # bumped on every gram change (for sketch users)
-        self.last_delta: WeightedEdge | None = None   # set when the change was one push
+        # bumped on every gram change (for sketch users): each push, and each
+        # carry that merged; last_delta is set when the change was one push
+        self.version = 0
+        self.last_delta: WeightedEdge | None = None
         self._resident = 0          # len(buffer) + sum of level lengths
-        self._gram: np.ndarray | None = None   # built on first read after a carry
+        self._gram: np.ndarray | None = None   # built on first read after a merge
         self._gram_builds = 0
 
     # -- resident accounting -------------------------------------------
@@ -71,10 +75,12 @@ class MergeReduceTree:
     def gram(self) -> np.ndarray:
         """Gram matrix of the current sparsifier's incidence rows.
 
-        Built from the resident items on the first read after a carry;
-        pushes then stamp into it. _accumulate adds in _iter_items order,
-        the order the stamps arrive in, so the bits do not depend on when
-        it is read."""
+        Built from the resident items on the first read after a carry that
+        merged; pushes then stamp into it. A carry that only parks the block
+        at an empty level 0 keeps the items and their _iter_items order, so
+        it keeps the Gram too. _accumulate adds in _iter_items order, the
+        order the stamps arrive in, so the bits do not depend on when it is
+        read."""
         if self._gram is None:
             self._gram = _accumulate(np.zeros((self.n, self.n)),
                                      *_columns(list(self._iter_items())))
@@ -82,9 +88,11 @@ class MergeReduceTree:
         return self._gram
 
     def stats(self) -> dict:
-        """Counters of this tower, as a plain dict: items pushed, merges,
-        items resident now and at peak, and Gram builds."""
-        return {"pushed": self.pushed, "merges": self.merges,
+        """Counters of this tower, as a plain dict: items pushed, carries
+        (one per full buffer), merges, items resident now and at peak, and
+        Gram builds."""
+        return {"pushed": self.pushed, "carries": self.carries,
+                "merges": self.merges,
                 "resident": self._resident,
                 "peak_resident": self.peak_resident,
                 "gram_builds": self._gram_builds}
@@ -97,14 +105,22 @@ class MergeReduceTree:
         rho = self.cfg.rho if self.cfg.rho is not None else self.cfg.block_size / self.n
         seed = spawn_seed(self.cfg.seed, self.merges)
         self.merges += 1
-        return er_sparsify(Graph(self.n, items), OfflineSampleConfig(rho, seed)).edges
+        return er_sparsify(_unchecked_graph(self.n, items),
+                           OfflineSampleConfig(rho, seed)).edges
 
     def push(self, item: WeightedEdge) -> None:
+        """Add one edge. A self-loop, an endpoint outside [0, n) or a weight
+        outside (0, inf) raises ValueError before any state changes; the
+        tower's coresets and sparsifier are then built unchecked."""
+        u, v, w = item
+        if not (0 <= u < self.n and 0 <= v < self.n and u != v
+                and 0 < w < math.inf):
+            raise ValueError(f"bad edge {item} for n={self.n}")
         self.buffer.append(item)
         self.pushed += 1
         self._resident += 1
         if self._gram is not None:
-            _stamp(self._gram, item.u, item.v, item.w)
+            _stamp(self._gram, u, v, w)
         self.version += 1
         self.last_delta = item
         self._note_peak()
@@ -116,6 +132,7 @@ class MergeReduceTree:
 
     def _carry(self, coreset: list[WeightedEdge]) -> None:
         # the block in hand and the level being merged are not resident
+        self.carries += 1
         lvl = 0
         while True:
             if lvl >= len(self.levels):
@@ -130,9 +147,12 @@ class MergeReduceTree:
             self._note_peak(extra=len(merged) - len(coreset))
             coreset = self._reduce(merged)
             lvl += 1
-        self.version += 1
-        self.last_delta = None
-        self._gram = None
+        if lvl:
+            # a carry that parks the block at level 0 leaves the items and
+            # their order as they were: not a sketch change
+            self.version += 1
+            self.last_delta = None
+            self._gram = None
         self._note_peak()
 
     def _iter_items(self):
@@ -143,7 +163,7 @@ class MergeReduceTree:
 
     def sparsifier(self) -> Graph:
         """Union of all level coresets and the buffer (oldest levels first)."""
-        return Graph(self.n, list(self._iter_items()))
+        return _unchecked_graph(self.n, list(self._iter_items()))
 
     @property
     def height(self) -> int:
@@ -207,6 +227,12 @@ class StreamSparsifier:
 
     def result(self) -> Graph:
         return self.tree.sparsifier()
+
+    def stats(self) -> dict:
+        """The sampler's and the tower's stats() and the peak count of
+        resident items, as a plain dict."""
+        return {"sampler": self.sampler.stats(), "tree": self.tree.stats(),
+                "max_resident": self.max_resident}
 
 
 def stream_sparsify(g: Graph, cfg: StreamPipelineConfig) -> Graph:

@@ -6,11 +6,12 @@ reweighted by 1/p, which keeps the expected Laplacian unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, WeightedEdge, leverages
+from .graph import Graph, WeightedEdge, _unchecked_graph, leverages
 from .rng import UniformByIndex
 
 
@@ -34,9 +35,14 @@ def er_sparsify(g: Graph, cfg: OfflineSampleConfig) -> Graph:
     """Independent effective-resistance sampling, edge order preserved.
 
     Decisions are keyed by (seed, edge index), so the output is reproducible
-    regardless of iteration strategy.
+    regardless of iteration strategy. The kept edges come from g, so only
+    their reweighted weights w / p are checked, as one array.
     """
     p = keep_probabilities(g, cfg.rho)
     keep = UniformByIndex(cfg.seed).uniform_many(np.arange(g.m)) < p
-    return Graph(g.n, [WeightedEdge(e.u, e.v, e.w / p[i])
-                       for i, e in enumerate(g.edges) if keep[i]])
+    kept = [g.edges[i] for i in np.flatnonzero(keep)]
+    w = np.fromiter((e.w for e in kept), float, len(kept)) / p[keep]
+    if not np.all((0 < w) & (w < math.inf)):
+        raise ValueError("reweighted weights must be positive and finite")
+    return _unchecked_graph(g.n, [WeightedEdge(e.u, e.v, x)
+                                  for e, x in zip(kept, w)])

@@ -176,11 +176,13 @@ class OnlineSamplerState:
         """Score, decide, and (in self-sketch mode) grow the sketch.
 
         Returns (kept, reweighted row). Decisions are keyed by
-        (seed, arrival index). A row with an endpoint outside [0, n)
-        raises ValueError before any state changes.
+        (seed, arrival index). A row with an endpoint outside [0, n) or a
+        scale outside (0, inf) raises ValueError before any state changes.
         """
         if not (0 <= row.u < self.n and 0 <= row.v < self.n):
             raise ValueError(f"row {row} out of range for n={self.n}")
+        if not 0 < row.scale < math.inf:
+            raise ValueError(f"row {row} needs a positive finite scale")
         ell = self.score(row)
         # raw ridge scores on fresh directions are unbounded (up to 2/lam);
         # the running total clamps at 1 to mirror true leverage scores
@@ -201,6 +203,10 @@ class OnlineSamplerState:
         return True, reweighted
 
     def process_edge(self, e: WeightedEdge) -> tuple[bool, WeightedEdge | None]:
+        """process_row on the edge's row sqrt(w) (chi_u - chi_v). A weight
+        outside (0, inf) raises ValueError before any state changes."""
+        if not 0 < e.w < math.inf:
+            raise ValueError(f"edge {e} needs a positive finite weight")
         kept, _ = self.process_row(IncidenceRow(e.u, e.v, math.sqrt(e.w)))
         if not kept:
             return False, None

@@ -13,7 +13,7 @@ from streamsparse import (DisconnectedError, Graph, IncidenceRow,
                           rayleigh_error, ridge_leverage)
 from streamsparse.graph import (_GroundedInverse, _accumulate, _columns,
                                 _components, _resistance, _resistance_solve,
-                                _stamp)
+                                _stamp, _unchecked_graph)
 
 
 def triangle(w=1.0):
@@ -43,6 +43,13 @@ class TestGraphInput:
             with pytest.raises(ValueError):
                 Graph(3).add(0, 1, w)
 
+    def test_rejects_bad_endpoints(self):
+        for u, v in ((1, 1), (-1, 2), (0, 3)):
+            with pytest.raises(ValueError):
+                Graph(3, [WeightedEdge(u, v, 1.0)])
+            with pytest.raises(ValueError):
+                Graph(3).add(u, v, 1.0)
+
 
 @st.composite
 def edge_lists(draw):
@@ -53,6 +60,17 @@ def edge_lists(draw):
     pairs = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
     edges = draw(st.lists(st.tuples(pairs, weight), max_size=40))
     return n, [WeightedEdge(u, v, w) for (u, v), w in edges]
+
+
+class TestUncheckedGraph:
+    @given(edge_lists())
+    @settings(max_examples=50, deadline=None)
+    def test_equals_checked(self, case):
+        n, edges = case
+        g = _unchecked_graph(n, list(edges))
+        assert g == Graph(n, list(edges))
+        assert type(g) is Graph and g.m == len(edges)
+        assert np.array_equal(laplacian(g), laplacian(Graph(n, edges)))
 
 
 class TestKernel:

@@ -1,6 +1,7 @@
 """Text formats, the benchmark harness, and the CLI surface."""
 
 import io as _io
+import math
 import subprocess
 import sys
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamsparse import (Graph, Hyperedge, Hypergraph, ParseError,
-                          WeightedEdge, bench, laplacian, load_edge_list,
-                          load_hyperedge_list, load_snap, pseudo_inverse,
-                          save_edge_list, save_hyperedge_list)
+                          StreamSparsifier, WeightedEdge, bench, laplacian,
+                          load_edge_list, load_hyperedge_list, load_snap,
+                          pseudo_inverse, save_edge_list, save_hyperedge_list)
 from streamsparse.bench import (ExperimentConfig, ExperimentResult, RawRow,
                                 _Trial, _run_merge_reduce, _run_streaming,
                                 _tune, _tune_tree_knob, gen_synthetic,
@@ -227,7 +228,7 @@ class TestRunExperiment:
 
 
 class TestProbeCache:
-    """_tune's probe cache: exact repeats, and the never-carried rule."""
+    """_tune's probe cache: exact repeats, and the never-merged rule."""
 
     @given(st.integers(min_value=3, max_value=12),
            st.integers(min_value=1, max_value=300),
@@ -256,6 +257,55 @@ class TestProbeCache:
             # the threshold is tight: a block equal to the push count carries
             assert run(tree.pushed)[2].height > 0
 
+    @given(st.integers(min_value=3, max_value=12),
+           st.integers(min_value=1, max_value=300),
+           st.integers(min_value=0, max_value=2**16),
+           st.sampled_from(("merge_reduce", "streaming")),
+           st.sampled_from((0.05, 0.5, 2.0, 15.0)),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_never_merged_probe_equals_every_block_above_half(
+            self, n, m, seed, method, c, data):
+        # a carry that only parks a block at level 0 changes nothing: with
+        # P pushes, every block b with 2 b > P runs like the never-carried
+        # run, down to the sampler's inverse
+        trial = _Trial(ExperimentConfig(n=n, m=m, seed=seed), 0)
+        pipes = []
+
+        class Recorded(StreamSparsifier):
+            def __init__(self, *args):
+                super().__init__(*args)
+                pipes.append(self)
+
+        def run(block):
+            if method == "merge_reduce":
+                return (*_run_merge_reduce(trial, block), None)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bench, "StreamSparsifier", Recorded)
+                out = _run_streaming(trial, c, block)
+            sampler = pipes[-1].sampler
+            sampler._inverse()      # take in the last push
+            return (*out, sampler)
+
+        stored, g, tree, sampler = run(m + 1)
+        pushes = tree.pushed
+        assert tree.height == 0
+        above = list(range(pushes // 2 + 1, pushes + 1))
+        blocks = ([above[0]] + data.draw(st.lists(st.sampled_from(above),
+                                                  max_size=3))
+                  if above else [])
+        for b in blocks:
+            stored2, g2, tree2, sampler2 = run(b)
+            assert tree2.height <= 1 and tree2.pushed == pushes
+            assert stored2 == stored and g2.edges == g.edges
+            if sampler is not None:
+                assert sampler2.stats() == sampler.stats()
+                assert np.array_equal(sampler2._effective_inverse(),
+                                      sampler._effective_inverse())
+        if pushes >= 2:
+            # the threshold is tight: the block at half the pushes merges
+            assert run(pushes // 2)[2].height >= 2
+
     @given(st.integers(min_value=3, max_value=10),
            st.integers(min_value=1, max_value=200),
            st.integers(min_value=0, max_value=2**16),
@@ -270,28 +320,49 @@ class TestProbeCache:
         base = ({"c": bench.PAPER_C_OL_STR.get(budget, 5.0)}
                 if method == "streaming" else {})
 
-        def direct(t, block):
-            return bench._run_one(t, method, {**base, "block_size": block})
+        run_one = bench._run_one
 
-        near = [direct(t, m + 1)[2].pushed + d for t in trials
-                for d in range(-2, 3)]
+        def direct(t, block):
+            return run_one(t, method, {**base, "block_size": block})
+
+        near = [(direct(t, m + 1)[2].pushed + d) // k for t in trials
+                for d in range(-2, 3) for k in (1, 2)]
         blocks = data.draw(st.lists(
             st.sampled_from(near) | st.integers(min_value=1, max_value=m + 5),
             min_size=1, max_size=12).map(lambda bs: [max(b, 1) for b in bs]))
-        answers = []
+        answers, runs = [], []
 
         def sweep(count_one, count_of, budget, tolerance):
             for b in blocks:
                 answers.append((b, count_one(float(b)), count_of(float(b))))
             return float(blocks[0]), answers[0][2]
 
+        def spy(trial, m, params):
+            runs.append((trial.index, params["block_size"]))
+            return direct(trial, params["block_size"])
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bench, "_tune_tree_knob", sweep)
+            mp.setattr(bench, "_run_one", spy)
             _tune(cfg, method, budget, trials, ExperimentResult())
         for b, one, mean in answers:
             counts = [direct(t, b)[0] for t in trials]
             assert one == counts[0]
             assert mean == float(np.mean(counts))
+        # and it runs exactly the probes it cannot answer: a repeat, or a
+        # block b with 2 b > P on a trial whose run of P pushes never merged,
+        # is answered; everything else runs (count_one asks trial 0, then
+        # count_of asks trials 0 and 1)
+        want, never_merged = [], {}
+        for b in blocks:
+            for t in (0, 0, 1):
+                if 2 * b > never_merged.get(t, math.inf) or (t, b) in want:
+                    continue
+                want.append((t, b))
+                tree = direct(trials[t], b)[2]
+                if tree.height <= 1:
+                    never_merged[t] = tree.pushed
+        assert runs == want
 
     @pytest.mark.parametrize("method", ["merge_reduce", "streaming"])
     def test_tune_runs_each_probe_once(self, monkeypatch, method):
@@ -314,6 +385,13 @@ class TestProbeCache:
         assert flat
         for i, t, pushes in flat:
             assert all(b <= pushes for t2, b, _ in runs[i + 1:] if t2 == t)
+        # after a probe that never merged, no later run on its trial has a
+        # block above half that probe's push count
+        never_merged = [(i, t, tree.pushed) for i, (t, _, tree)
+                        in enumerate(runs) if tree.height <= 1]
+        assert never_merged
+        for i, t, pushes in never_merged:
+            assert all(2 * b <= pushes for t2, b, _ in runs[i + 1:] if t2 == t)
 
         # an uncached sweep runs more probes and picks the same block
         ref_runs = []

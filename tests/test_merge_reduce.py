@@ -54,6 +54,25 @@ class TestTowerStructure:
         tree = MergeReduceTree(4, TreeConfig(block_size=4))
         assert tree.sparsifier().m == 0
 
+    @pytest.mark.parametrize("bad", [(1, 1, 1.0), (-1, 2, 1.0), (0, 3, 1.0),
+                                     (0, 1, 0.0), (0, 1, -1.0),
+                                     (0, 1, math.inf), (0, 1, math.nan)])
+    def test_push_rejects_bad_edge_before_any_change(self, bad):
+        cfg = TreeConfig(block_size=2, seed=3)
+        tree, fresh = MergeReduceTree(3, cfg), MergeReduceTree(3, cfg)
+        tree.push(WeightedEdge(0, 1, 1.0))
+        fresh.push(WeightedEdge(0, 1, 1.0))
+        tree.gram()
+        fresh.gram()
+        with pytest.raises(ValueError):
+            tree.push(WeightedEdge(*bad))
+        for e in unit_edges(7):
+            tree.push(e)
+            fresh.push(e)
+        assert tree.stats() == fresh.stats()
+        assert tree.sparsifier() == fresh.sparsifier()
+        assert np.array_equal(tree.gram(), fresh.gram())
+
 
 class TestSpaceAccounting:
     def test_peak_at_least_resident(self):
@@ -113,7 +132,8 @@ class TestLazyGram:
     def test_unread_gram_is_never_built(self):
         g = gen_synthetic(10, 500, seed=1)
         _, tree = mr_sparsify(g, TreeConfig(block_size=32))
-        assert tree.stats() == {"pushed": 500, "merges": tree.merges,
+        assert tree.stats() == {"pushed": 500, "carries": 500 // 32,
+                                "merges": tree.merges,
                                 "resident": tree.resident(),
                                 "peak_resident": tree.peak_resident,
                                 "gram_builds": 0}
@@ -212,3 +232,52 @@ class TestStreamingPipeline:
         cfg = StreamPipelineConfig()
         with pytest.raises(FrozenInstanceError):
             cfg.m_hint = 10
+
+    @pytest.mark.parametrize("w", [math.inf, math.nan, 0.0, -1.0])
+    def test_push_rejects_bad_weight_before_any_change(self, w):
+        g = gen_synthetic(8, 200, seed=10)
+        cfg = StreamPipelineConfig(
+            online=OnlineConfig(c=6.0, seed=1),
+            tree=TreeConfig(block_size=16, seed=1),
+            use_tree_sketch=True, m_hint=g.m)
+        pipe, fresh = StreamSparsifier(g.n, cfg), StreamSparsifier(g.n, cfg)
+        for e in g.edges[:50]:
+            pipe.push(e)
+            fresh.push(e)
+        with pytest.raises(ValueError):
+            pipe.push(WeightedEdge(0, 1, w))
+        assert pipe.stats() == fresh.stats()
+        for e in g.edges[50:]:
+            pipe.push(e)
+            fresh.push(e)
+        assert pipe.stats() == fresh.stats()
+        assert pipe.result() == fresh.result()
+
+
+class TestPipelineStats:
+    def test_counters_add_up(self):
+        g = gen_synthetic(20, 3000, seed=4)
+        block = 100
+        pipe = StreamSparsifier(g.n, StreamPipelineConfig(
+            online=OnlineConfig(c=20.0, seed=2),
+            tree=TreeConfig(block_size=block), use_tree_sketch=True,
+            m_hint=g.m))
+        carries = 0
+        for e in g.edges:
+            pipe.push(e)
+            if pipe.tree.carries > carries:
+                carries = pipe.tree.carries
+                pipe.tree.gram()
+        s = pipe.stats()
+        assert s == {"sampler": pipe.sampler.stats(),
+                     "tree": pipe.tree.stats(),
+                     "max_resident": pipe.max_resident}
+        t = s["tree"]
+        assert s["sampler"]["scored"] == g.m
+        assert s["sampler"]["kept"] == t["pushed"]
+        assert t["carries"] == t["pushed"] // block >= 4
+        # a binary counter: k carries leave popcount(k) blocks, one merge
+        # for each of the others, and only a merge rebuilds the Gram
+        assert t["merges"] == t["carries"] - bin(t["carries"]).count("1")
+        assert t["gram_builds"] == 1 + t["carries"] // 2
+        assert t["resident"] <= t["peak_resident"] == s["max_resident"]

@@ -86,3 +86,14 @@ def test_matches_scalar_draw_loop():
         got = er_sparsify(g, OfflineSampleConfig(rho, seed)).edges
         assert 0 < len(got) < g.m
         assert got == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_rejects_reweighted_overflow(monkeypatch):
+    # finite input weights whose w / p overflows to inf must not come out
+    from streamsparse import offline
+    g = Graph(3, [WeightedEdge(0, 1, 1.5e308), WeightedEdge(1, 2, 1.0)] * 8)
+    monkeypatch.setattr(offline, "keep_probabilities",
+                        lambda g, rho: np.full(g.m, 0.5))
+    with pytest.raises(ValueError):
+        er_sparsify(g, OfflineSampleConfig(rho=1.0, seed=0))

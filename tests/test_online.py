@@ -72,6 +72,22 @@ class TestSamplerMechanics:
         assert [state.process_edge(e) for e in g.edges] == \
                [fresh.process_edge(e) for e in g.edges]
 
+    @pytest.mark.parametrize("w", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_weight_before_any_change(self, w):
+        g = gen_synthetic(6, 40, seed=2)
+        state = OnlineSamplerState(6, c=0.5, seed=4)
+        fresh = OnlineSamplerState(6, c=0.5, seed=4)
+        with pytest.raises(ValueError):
+            state.process_edge(WeightedEdge(0, 1, w))
+        scale = math.sqrt(w) if w >= 0 else w
+        with pytest.raises(ValueError):
+            state.process_row(IncidenceRow(0, 1, scale))
+        assert state.kept_count == 0 and state.score_sum == 0.0
+        assert state.stats() == fresh.stats()
+        assert [state.process_edge(e) for e in g.edges] == \
+               [fresh.process_edge(e) for e in g.edges]
+        assert state.stats() == fresh.stats()
+
     def test_kept_edges_reweighted(self):
         state = OnlineSamplerState(3, c=1e9, lam=1.0)
         state.process_edge(WeightedEdge(0, 1, 2.0))
@@ -227,7 +243,7 @@ class TestStats:
         # every kept row reached the inverse as a fold or inside a refresh
         assert s["folds"] <= s["kept"] <= s["folds"] + s["refreshes"]
         assert s["drift"] == 0.0 or s["folds"] >= _REFRESH_EVERY
-        # one Gram build up front and one after each carry
+        # one Gram build up front and one after each carry that merged
         assert t["merges"] == pipe.tree.merges > 0
-        assert t["gram_builds"] == 1 + t["pushed"] // 100
+        assert t["gram_builds"] == 1 + (t["pushed"] // 100) // 2
         assert t["resident"] == pipe.tree.resident() <= t["peak_resident"]

@@ -67,6 +67,20 @@ class TestGate:
             assert state.step(e).edges == fresh.step(e).edges
         assert state.switch_count == fresh.switch_count
 
+    @pytest.mark.parametrize("w", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_weight_before_any_change(self, w):
+        state = keep_all_state(4, 0.5)
+        fresh = keep_all_state(4, 0.5)
+        with pytest.raises(ValueError):
+            state.step(WeightedEdge(0, 1, w))
+        edges = [WeightedEdge(0, 1, 1.0), WeightedEdge(1, 2, 2.0),
+                 WeightedEdge(2, 3, 0.5)]
+        for e in edges:
+            assert state.step(e).edges == fresh.step(e).edges
+        assert state.switch_count == fresh.switch_count
+        assert state.inner.stats() == fresh.inner.stats()
+        assert np.array_equal(state._laplacian, fresh._laplacian)
+
 
 class TestSkipWhenNothingKept:
     def test_matches_checking_every_step(self):
