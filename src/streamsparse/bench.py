@@ -28,7 +28,7 @@ from .graph import (Graph, KernelMismatchError, WeightedEdge, _accumulate,
                     pseudo_inverse, rayleigh_error)
 from .io import load_snap
 from .merge_reduce import (MergeReduceTree, OnlineConfig, StreamPipelineConfig,
-                           StreamSparsifier, TreeConfig)
+                           StreamSparsifier, TreeConfig, mr_sparsify)
 from .rng import spawn_seed
 
 # constants from the hyperparameter table of the reference experiments,
@@ -186,11 +186,9 @@ def _run_merge_reduce(trial: _Trial, block_size: int
                       ) -> tuple[int, Graph, MergeReduceTree]:
     # rho defaults to block_size / n, so the reduced coresets match the
     # block size and the peak resident count scales with the one knob
-    tree = MergeReduceTree(trial.graph.n, TreeConfig(
+    out, tree = mr_sparsify(trial.graph, TreeConfig(
         block_size=block_size, seed=trial.sample_seed))
-    for e in trial.graph.edges:
-        tree.push(e)
-    return tree.peak_resident, tree.sparsifier(), tree
+    return tree.peak_resident, out, tree
 
 
 def _run_streaming(trial: _Trial, c: float, block_size: int
@@ -302,11 +300,11 @@ def _tune(cfg: ExperimentConfig, method: str, budget: int,
     every block b with 2 * b > P on its trial. Both rules are exact: the
     block size is read only by the carry test and the reductions a carry
     starts, and a carry that only parks the block at an empty level 0
-    changes neither the items, their order, the Gram, version nor
-    last_delta. So up to the first merge, at push 2 * b, the tower the
-    streaming sampler scores against, and hence every keep and the peak
-    count, are the same for any block; with 2 * b > P that push never
-    comes. The height, not merges, marks a merge, since the identity
+    changes neither the items, their order nor the Gram, and reports no
+    merge to the streaming sampler. So up to the first merge, at push
+    2 * b, the tower the streaming sampler scores against, and hence every
+    keep and the peak count, are the same for any block; with 2 * b > P
+    that push never comes. The height, not merges, marks a merge, since the identity
     reducer does not count them.
     """
     # sweep to a tighter internal target so the final-trial mean still

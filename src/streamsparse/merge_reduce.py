@@ -54,10 +54,6 @@ class MergeReduceTree:
         self.merges = 0
         self.carries = 0
         self.peak_resident = 0
-        # bumped on every gram change (for sketch users): each push, and each
-        # carry that merged; last_delta is set when the change was one push
-        self.version = 0
-        self.last_delta: WeightedEdge | None = None
         self._resident = 0          # len(buffer) + sum of level lengths
         self._gram: np.ndarray | None = None   # built on first read after a merge
         self._gram_builds = 0
@@ -70,10 +66,11 @@ class MergeReduceTree:
     def _note_peak(self, extra: int = 0) -> None:
         self.peak_resident = max(self.peak_resident, self._resident + extra)
 
-    # -- sketch provider interface -------------------------------------
+    # -- scoring sketch and counters -----------------------------------
 
     def gram(self) -> np.ndarray:
-        """Gram matrix of the current sparsifier's incidence rows.
+        """Gram matrix of the current sparsifier's incidence rows: the
+        scoring sketch of a StreamSparsifier with use_tree_sketch.
 
         Built from the resident items on the first read after a carry that
         merged; pushes then stamp into it. A carry that only parks the block
@@ -108,10 +105,13 @@ class MergeReduceTree:
         return er_sparsify(_unchecked_graph(self.n, items),
                            OfflineSampleConfig(rho, seed)).edges
 
-    def push(self, item: WeightedEdge) -> None:
-        """Add one edge. A self-loop, an endpoint outside [0, n) or a weight
-        outside (0, inf) raises ValueError before any state changes; the
-        tower's coresets and sparsifier are then built unchecked."""
+    def push(self, item: WeightedEdge) -> bool:
+        """Add one edge; return whether the push ended in a carry that
+        merged. Otherwise the Gram gained exactly the edge's row; after a
+        merge it is rebuilt on its next read. A self-loop, an endpoint
+        outside [0, n) or a weight outside (0, inf) raises ValueError before
+        any state changes; the tower's coresets and sparsifier are then
+        built unchecked."""
         u, v, w = item
         if not (0 <= u < self.n and 0 <= v < self.n and u != v
                 and 0 < w < math.inf):
@@ -121,16 +121,15 @@ class MergeReduceTree:
         self._resident += 1
         if self._gram is not None:
             _stamp(self._gram, u, v, w)
-        self.version += 1
-        self.last_delta = item
         self._note_peak()
-        if len(self.buffer) >= self.cfg.block_size:
-            block = self.buffer
-            self.buffer = []
-            self._resident -= len(block)
-            self._carry(block)
+        if len(self.buffer) < self.cfg.block_size:
+            return False
+        block = self.buffer
+        self.buffer = []
+        self._resident -= len(block)
+        return self._carry(block)
 
-    def _carry(self, coreset: list[WeightedEdge]) -> None:
+    def _carry(self, coreset: list[WeightedEdge]) -> bool:
         # the block in hand and the level being merged are not resident
         self.carries += 1
         lvl = 0
@@ -150,10 +149,9 @@ class MergeReduceTree:
         if lvl:
             # a carry that parks the block at level 0 leaves the items and
             # their order as they were: not a sketch change
-            self.version += 1
-            self.last_delta = None
             self._gram = None
         self._note_peak()
+        return lvl > 0
 
     def _iter_items(self):
         for c in reversed(self.levels):
@@ -218,7 +216,9 @@ class StreamSparsifier:
     def push(self, e: WeightedEdge) -> None:
         kept, reweighted = self.sampler.process_edge(e)
         if kept:
-            self.tree.push(reweighted)
+            merged = self.tree.push(reweighted)
+            if self.cfg.use_tree_sketch:
+                self.sampler.sketch_changed(None if merged else reweighted)
         resident = self.tree.resident()
         if not self.cfg.use_tree_sketch:
             resident += len(self.sampler.sketch)

@@ -7,12 +7,16 @@ rank-1 terms (delayed Sherman-Morrison): a kept row costs O(n * _BLOCK)
 matrix-vector work, and every _BLOCK kept rows fold into K0 with one
 matrix product (O(n^2) per row amortised, at matrix-matrix speed). Scoring
 a row reads three entries of K0 and two rows of the pending block.
+
+In provider mode the sketch is an external Gram matrix (the merge-and-reduce
+tower's), and its owner reports each change through sketch_changed: one
+added row folds in as a rank-1 update, a rebuild drops K0 for the next score
+to refresh from provider.gram().
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol
 
 import numpy as np
 
@@ -28,26 +32,17 @@ def default_c(m: int, eps: float = 1.0, alpha: float = 4.0) -> float:
     return alpha * math.log(max(m, 2)) / (eps * eps)
 
 
-class SketchProvider(Protocol):
-    """External source of the Gram matrix used for scoring. The provider
-    must be a 2-approximation of the true prefix Gram matrix."""
-
-    def gram(self) -> np.ndarray: ...
-
-    @property
-    def version(self) -> int: ...
-
-
 class OnlineSamplerState:
     """Sequential single-owner sampling state.
 
     With provider=None the sampler scores against its own kept rows
-    (self-sketch mode); otherwise scores come from the external provider.
+    (self-sketch mode). Otherwise it scores against provider.gram(), a
+    2-approximation of the prefix Gram matrix, and never polls it: the
+    caller that changes the provider calls sketch_changed after each change.
     """
 
     def __init__(self, n: int, c: float, lam: float | None = None,
-                 seed: int = 0, eps: float = 1.0,
-                 provider: SketchProvider | None = None):
+                 seed: int = 0, eps: float = 1.0, provider=None):
         if c <= 0:
             raise ValueError("c must be positive")
         self.n = n
@@ -69,7 +64,6 @@ class OnlineSamplerState:
         self._inv: np.ndarray | None = None          # K0
         self._Y = np.zeros((n, _BLOCK))
         self._pending = 0
-        self._provider_version = -1
         self._updates_since_refresh = 0
         self._scored = 0
         self._folds = 0
@@ -104,22 +98,8 @@ class OnlineSamplerState:
         return self._inv - self._Y @ self._Y.T
 
     def _inverse(self) -> np.ndarray:
-        """K0, after syncing with the provider; the pending block still
-        applies on top of it."""
-        if self.provider is not None:
-            ver = self.provider.version
-            if ver != self._provider_version:
-                # a single-row provider change folds in as a rank-1 update;
-                # anything else (a rebuild, or several changes at once)
-                # forces a full refresh
-                delta = getattr(self.provider, "last_delta", None)
-                rank1 = (self._inv is not None and delta is not None
-                         and ver == self._provider_version + 1)
-                self._provider_version = ver
-                if rank1:
-                    self._rank1_update(delta.u, delta.v, delta.w)
-                else:
-                    self._inv = None
+        """K0, refreshed if it was dropped; the pending block still applies
+        on top of it."""
         if self._inv is None:
             self._refresh_inverse()
         return self._inv
@@ -160,6 +140,15 @@ class OnlineSamplerState:
 
     # -- public API ----------------------------------------------------
 
+    def sketch_changed(self, edge: WeightedEdge | None) -> None:
+        """Take in a change to the provider's Gram matrix: edge is the one
+        edge it gained, folded in now as a rank-1 update; None means it was
+        rebuilt, and the next score refreshes K0 from provider.gram()."""
+        if edge is not None and self._inv is not None:
+            self._rank1_update(edge.u, edge.v, edge.w)
+        else:
+            self._inv = None
+
     def score(self, row: IncidenceRow) -> float:
         """Ridge leverage a^T (G + lam I)^{-1} a against the current sketch."""
         self._maybe_shrink_lambda(row.scale * row.scale)
@@ -176,11 +165,14 @@ class OnlineSamplerState:
         """Score, decide, and (in self-sketch mode) grow the sketch.
 
         Returns (kept, reweighted row). Decisions are keyed by
-        (seed, arrival index). A row with an endpoint outside [0, n) or a
-        scale outside (0, inf) raises ValueError before any state changes.
+        (seed, arrival index). A self-loop row, an endpoint outside [0, n)
+        or a scale outside (0, inf) raises ValueError before any state
+        changes.
         """
-        if not (0 <= row.u < self.n and 0 <= row.v < self.n):
-            raise ValueError(f"row {row} out of range for n={self.n}")
+        if not (0 <= row.u < self.n and 0 <= row.v < self.n
+                and row.u != row.v):
+            raise ValueError(f"row {row} is a self-loop or out of range "
+                             f"for n={self.n}")
         if not 0 < row.scale < math.inf:
             raise ValueError(f"row {row} needs a positive finite scale")
         ell = self.score(row)

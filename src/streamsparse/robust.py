@@ -79,6 +79,11 @@ class RobustWrapperState:
             self.switch_count += 1
         return self.exposed
 
+    def stats(self) -> dict:
+        """Counters of this wrapper, as a plain dict: switches of the
+        exposed snapshot, and the inner sampler's stats() under "inner"."""
+        return {"switches": self.switch_count, "inner": self.inner.stats()}
+
 
 class RobustHyperWrapperState:
     """Hypergraph wrapper: a graph wrapper over the associated-graph stream

@@ -57,6 +57,13 @@ class SlidingWindowState:
     def stored(self) -> int:
         return len(self.buffer) + sum(len(c) for c in self.levels if c)
 
+    def stats(self) -> dict:
+        """Counters of this window, as a plain dict: carries (one per push
+        that found the buffer full), items stored now, and the number of
+        levels."""
+        return {"carries": self.carries, "stored": self.stored(),
+                "height": len(self.levels)}
+
     # -- coreset subroutine --------------------------------------------
 
     def _coreset(self, items: list[StoredItem]) -> list[StoredItem]:

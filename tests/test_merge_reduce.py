@@ -44,6 +44,24 @@ class TestTowerStructure:
             occupied = [lvl is not None for lvl in tree.levels]
             assert occupied == [bool(k >> i & 1) for i in range(len(occupied))]
 
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_push_reports_merging_carries(self, identity):
+        # a push merges when it fills the buffer while level 0 is occupied;
+        # the identity reducer counts no merges, hence the occupancy test
+        tree = MergeReduceTree(10, TreeConfig(block_size=8, seed=1,
+                                              identity_reducer=identity))
+        merged_pushes = 0
+        for e in gen_synthetic(10, 200, seed=3).edges:
+            fills = len(tree.buffer) == tree.cfg.block_size - 1
+            occupied = tree.height > 0 and tree.levels[0] is not None
+            merges = tree.merges
+            merged = tree.push(e)
+            assert merged is (fills and occupied)
+            if not identity:
+                assert merged == (tree.merges > merges)
+            merged_pushes += merged
+        assert merged_pushes == tree.carries // 2 > 0
+
     def test_identity_union_exact(self):
         g = gen_synthetic(10, 137, seed=0)
         out, _ = mr_sparsify(g, TreeConfig(block_size=8, identity_reducer=True))

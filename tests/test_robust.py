@@ -108,6 +108,20 @@ class TestSkipWhenNothingKept:
         assert skipped > 50 and switches > 1
 
 
+class TestStats:
+    def test_counters_add_up(self):
+        n, eps = 8, 0.5
+        state = RobustWrapperState(
+            n, eps, inner=OnlineSamplerState(n, c=0.3, eps=eps / 8, seed=5))
+        for e in gen_synthetic(n, 200, seed=11).edges:
+            state.step(e)
+        s = state.stats()
+        assert s == {"switches": state.switch_count,
+                     "inner": state.inner.stats()}
+        assert s["switches"] > 1
+        assert s["inner"]["kept"] == state.inner.kept_count < 200
+
+
 class TestMaintainedLaplacian:
     @pytest.mark.parametrize("c,fed", [(1e12, 0), (0.3, 0), (0.3, 40)])
     def test_equals_laplacian_of_the_snapshot(self, c, fed):

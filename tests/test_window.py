@@ -66,6 +66,20 @@ class TestStructure:
             sw_push(st, Hyperedge((0, 1), 1.0), t=5)
 
 
+class TestStats:
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_counters_add_up(self, identity):
+        st = SlidingWindowState(8, SlidingWindowConfig(
+            block_size=6, seed=2, identity_coreset=identity))
+        full = 0
+        for e in random_stream(np.random.default_rng(4), m=150):
+            full += len(st.buffer) == st.cfg.block_size
+            st.push(e)
+        assert st.stats() == {"carries": full, "stored": st.stored(),
+                              "height": len(st.levels)}
+        assert full == st.carries > 0
+
+
 class TestIdentityQueries:
     def test_window_equals_suffix_every_w(self):
         rng = np.random.default_rng(0)
