@@ -28,7 +28,7 @@ from .graph import (Graph, KernelMismatchError, WeightedEdge, _accumulate,
                     pseudo_inverse, rayleigh_error)
 from .io import load_snap
 from .merge_reduce import (MergeReduceTree, OnlineConfig, StreamPipelineConfig,
-                           StreamSparsifier, TreeConfig, mr_sparsify)
+                           StreamSparsifier, TreeConfig)
 from .rng import spawn_seed
 
 # constants from the hyperparameter table of the reference experiments,
@@ -91,6 +91,12 @@ class ExperimentResult:
     raw: list[RawRow] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     tuned: dict[tuple[str, int], float] = field(default_factory=dict)
+    # per (method, budget): counts asked for while tuning ("probes"), the
+    # runs made for them ("runs", of which "stopped" stopped at the cap)
+    # and the answers read from the probe cache ("cached"), so probes ==
+    # runs + cached; and final trials that took a tuning run's results
+    # instead of running again ("reused")
+    tuning: dict[tuple[str, int], dict[str, int]] = field(default_factory=dict)
 
 
 def gen_synthetic(n: int, m: int, seed: int,
@@ -149,6 +155,9 @@ class _Trial:
         self._L = None
         self._lev = None
         self._batch_size = cfg.batch_size
+        # the latest tuning run on this trial that ran to the end:
+        # (method, params, stored count, sparsifier, seconds)
+        self.finished: tuple | None = None
 
     @property
     def L(self) -> np.ndarray:
@@ -173,26 +182,41 @@ def _error(L: np.ndarray, sparsifier: Graph) -> float:
 # -- the three methods ---------------------------------------------------
 
 
-def _run_online(trial: _Trial, c: float) -> tuple[int, Graph]:
+def _online_keep(trial: _Trial, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Keep mask and keep probabilities of the online method at constant c."""
     lev = trial.batch_leverages
     p = np.where(np.isinf(lev), 1.0, np.minimum(1.0, c * lev))
-    kept = np.random.default_rng(trial.sample_seed).random(lev.size) < p
+    return np.random.default_rng(trial.sample_seed).random(lev.size) < p, p
+
+
+def _run_online(trial: _Trial, c: float) -> tuple[int, Graph]:
+    kept, p = _online_keep(trial, c)
     edges = [WeightedEdge(e.u, e.v, e.w / p[i])
              for i, e in enumerate(trial.graph.edges) if kept[i]]
     return len(edges), Graph(trial.graph.n, edges)
 
 
-def _run_merge_reduce(trial: _Trial, block_size: int
-                      ) -> tuple[int, Graph, MergeReduceTree]:
+def _run_merge_reduce(trial: _Trial, block_size: int, cap: float = math.inf
+                      ) -> tuple[int, Graph | None, MergeReduceTree]:
+    """(peak count, sparsifier, tower) of the tower over the trial's stream.
+    The run stops at the first push whose running count passes cap and
+    returns None for its sparsifier: the count, a running maximum, is then
+    a lower bound of the full run's."""
     # rho defaults to block_size / n, so the reduced coresets match the
     # block size and the peak resident count scales with the one knob
-    out, tree = mr_sparsify(trial.graph, TreeConfig(
+    tree = MergeReduceTree(trial.graph.n, TreeConfig(
         block_size=block_size, seed=trial.sample_seed))
-    return tree.peak_resident, out, tree
+    for e in trial.graph.edges:
+        tree.push(e)
+        if tree.peak_resident > cap:
+            return tree.peak_resident, None, tree
+    return tree.peak_resident, tree.sparsifier(), tree
 
 
-def _run_streaming(trial: _Trial, c: float, block_size: int
-                   ) -> tuple[int, Graph, MergeReduceTree]:
+def _run_streaming(trial: _Trial, c: float, block_size: int,
+                   cap: float = math.inf
+                   ) -> tuple[int, Graph | None, MergeReduceTree]:
+    """As _run_merge_reduce, for the streaming pipeline."""
     cfg = StreamPipelineConfig(
         online=OnlineConfig(c=c, seed=trial.sample_seed),
         tree=TreeConfig(block_size=block_size,
@@ -201,6 +225,8 @@ def _run_streaming(trial: _Trial, c: float, block_size: int
     pipe = StreamSparsifier(trial.graph.n, cfg)
     for e in trial.graph.edges:
         pipe.push(e)
+        if pipe.max_resident > cap:
+            return pipe.max_resident, None, pipe.tree
     return pipe.max_resident, pipe.result(), pipe.tree
 
 
@@ -232,8 +258,8 @@ def _bisect_knob(count_of, budget: int, tolerance: int, lo: float,
     return knob, count
 
 
-def _tune_tree_knob(count_one, count_of, budget: int,
-                    tolerance: int) -> tuple[float, float]:
+def _tune_tree_knob(count_one, count_of, budget: int, tolerance: int,
+                    finish) -> tuple[float, float]:
     """Pick the largest block size whose mean peak count lands in
     budget +- tolerance, sweeping down from 4 * budget to 4 by steps of
     1/1.15.
@@ -246,20 +272,27 @@ def _tune_tree_knob(count_one, count_of, budget: int,
     The counts may ask for a block twice, or, on a trial whose tower never
     merged, for any block above half its push count, which runs
     identically; _tune answers both from its probe cache without a run.
+
+    count_one may stop a probe once its count passes budget + tolerance and
+    return the count so far, a lower bound. The hit test, the tooth test and
+    the bisection step read such a count only as "above the window", which
+    the full count is too. Only the fallback, the closest count when no
+    block hits (the first probed on a tie), compares counts above the
+    window: before it picks, finish(block) gives the full one-probe count of
+    each probe whose lower bound could still win, nearest first.
     """
-    best: tuple[float, float, float] | None = None  # (gap, block, count)
+    tried: list[tuple[float, float, bool]] = []   # (block, count, lower bound)
 
     def probe(block: float):
-        nonlocal best
         block = float(max(int(round(block)), 4))
         c1 = count_one(block)
         if abs(c1 - budget) <= tolerance:
             c = count_of(block)
             if abs(c - budget) <= tolerance:
                 return block, c
-            c1 = c
-        if best is None or abs(c1 - budget) < best[0]:
-            best = (abs(c1 - budget), block, c1)
+            tried.append((block, c, False))
+            return None, c
+        tried.append((block, c1, c1 > budget + tolerance))
         return None, c1
 
     b = 4.0 * budget
@@ -286,13 +319,26 @@ def _tune_tree_knob(count_one, count_of, budget: int,
                     break
         prev_b, prev_c = b, c1
         b /= 1.15
-    return best[1], best[2]
+    # no hit: the closest count wins. A lower bound's gap is at most its
+    # full count's; taken nearest first, once one exceeds the closest full
+    # count, so do all that follow
+    for i in sorted(range(len(tried)), key=lambda i: tried[i][1]):
+        block, c, lower = tried[i]
+        if not lower:
+            continue
+        if c - budget > min((abs(c2 - budget) for _, c2, low in tried
+                             if not low), default=math.inf):
+            break
+        tried[i] = (block, finish(block), False)
+    block, count, _ = min(tried, key=lambda x: abs(x[1] - budget))
+    return block, count
 
 
 def _tune(cfg: ExperimentConfig, method: str, budget: int,
           trials: list[_Trial], result: ExperimentResult) -> dict:
     """Pick the method's knob values for one budget, recording the tuned
-    constant and a warning when the budget is out of reach.
+    constant, the counters of result.tuning, and a warning when the budget
+    is out of reach.
 
     A tower sweep reads its probe counts through one cache per call, keyed
     by (trial index, block). A probe whose tower never merged (height at
@@ -306,15 +352,32 @@ def _tune(cfg: ExperimentConfig, method: str, budget: int,
     keep and the peak count, are the same for any block; with 2 * b > P
     that push never comes. The height, not merges, marks a merge, since the identity
     reducer does not count them.
+
+    The one-probe count of the sweep runs with a cap of budget + the sweep
+    tolerance and stops at the first push whose count passes it. The cache
+    flags such a count as a lower bound and serves it to capped asks only;
+    the confirming means and the fallback's finishing runs ask uncapped and
+    run again. A stopped probe whose tower had not merged after its k tower
+    pushes answers every block b with 2 * b > k on its trial the same way,
+    since up to push k those runs are the same run and stop at the same
+    push.
+
+    Each tower run that ran to the end becomes its trial's `finished` run,
+    with the seconds of that _run_one call, for run_experiment to reuse.
     """
     # sweep to a tighter internal target so the final-trial mean still
     # lands inside the reported tolerance
     tune_tol = max(cfg.tolerance // 2, 25)
+    tally = dict.fromkeys(("probes", "runs", "stopped", "cached", "reused"), 0)
+    result.tuning[(method, budget)] = tally
     if method == "online":
         probes = trials[:cfg.probe_trials]
 
         def count_of(c):
-            return float(np.mean([_run_online(t, c)[0] for t in probes]))
+            tally["probes"] += len(probes)
+            tally["runs"] += len(probes)
+            return float(np.mean([int(_online_keep(t, c)[0].sum())
+                                  for t in probes]))
 
         knob, count = _bisect_knob(count_of, budget, tune_tol, 1e-4, 1e2)
         params = {"c": knob}
@@ -322,26 +385,45 @@ def _tune(cfg: ExperimentConfig, method: str, budget: int,
         params = {}
         if method == "streaming":
             params["c"] = PAPER_C_OL_STR.get(budget, 5.0)
-        seen: dict[tuple[int, int], int] = {}   # (trial, block) -> count
-        flat: dict[int, tuple[int, int]] = {}   # trial -> (pushes, count)
+        cap = budget + tune_tol
+        # (trial, block, stopped at the cap) -> count
+        seen: dict[tuple[int, int, bool], int] = {}
+        # (trial, stopped at the cap) -> (tower pushes, count)
+        flat: dict[tuple[int, bool], tuple[int, int]] = {}
 
-        def count_at(t: _Trial, block: int) -> int:
-            pushes, stored = flat.get(t.index, (math.inf, 0))
-            if 2 * block > pushes:
-                return stored
-            if (t.index, block) not in seen:
-                stored, _, tree = _run_one(t, method,
-                                           {**params, "block_size": block})
-                if tree.height <= 1:
-                    flat[t.index] = (tree.pushed, stored)
-                seen[t.index, block] = stored
-            return seen[t.index, block]
+        def count_at(t: _Trial, block: int, capped: bool) -> int:
+            # a full count first; a stopped one only answers a capped ask
+            tally["probes"] += 1
+            for stopped in (False, True)[:1 + capped]:
+                pushes, stored = flat.get((t.index, stopped), (math.inf, None))
+                if 2 * block <= pushes:
+                    stored = seen.get((t.index, block, stopped))
+                if stored is not None:
+                    tally["cached"] += 1
+                    return stored
+            run = {**params, "block_size": block}
+            start = time.perf_counter()
+            stored, sparsifier, tree = _run_one(t, method, run,
+                                                cap if capped else math.inf)
+            seconds = time.perf_counter() - start
+            stopped = sparsifier is None
+            tally["runs"] += 1
+            tally["stopped"] += stopped
+            if tree.height <= 1:
+                flat[t.index, stopped] = (tree.pushed, stored)
+            seen[t.index, block, stopped] = stored
+            if not stopped:
+                t.finished = (method, run, stored, sparsifier, seconds)
+            return stored
 
-        def count_of(block, probes=trials[:cfg.tree_probe_trials]):
-            return float(np.mean([count_at(t, int(block)) for t in probes]))
+        def count_of(block, probes=trials[:cfg.tree_probe_trials],
+                     capped=False):
+            return float(np.mean([count_at(t, int(block), capped)
+                                  for t in probes]))
 
-        knob, count = _tune_tree_knob(lambda b: count_of(b, trials[:1]),
-                                      count_of, budget, tune_tol)
+        knob, count = _tune_tree_knob(
+            lambda b: count_of(b, trials[:1], capped=True), count_of,
+            budget, tune_tol, finish=lambda b: count_of(b, trials[:1]))
         params["block_size"] = max(int(round(knob)), 4)
     result.tuned[(method, budget)] = knob
     if abs(count - budget) > cfg.tolerance:
@@ -351,16 +433,26 @@ def _tune(cfg: ExperimentConfig, method: str, budget: int,
     return params
 
 
-def _run_one(trial: _Trial, method: str, params: dict) -> tuple:
-    """(stored count, sparsifier), plus the tower for the tower methods."""
+def _run_one(trial: _Trial, method: str, params: dict,
+             cap: float = math.inf) -> tuple:
+    """(stored count, sparsifier), plus the tower for the tower methods,
+    whose run stops once its count passes cap (see _run_merge_reduce)."""
     if method == "online":
         return _run_online(trial, params["c"])
     if method == "merge_reduce":
-        return _run_merge_reduce(trial, params["block_size"])
-    return _run_streaming(trial, params["c"], params["block_size"])
+        return _run_merge_reduce(trial, params["block_size"], cap)
+    return _run_streaming(trial, params["c"], params["block_size"], cap)
 
 
 def run_experiment(cfg: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
+    """Tune each method at each budget, then run it on the first
+    cfg.trials trials and record one RawRow per trial and their mean.
+
+    A final trial whose trial and params equal its trial's `finished` tuning
+    run takes that run's count and sparsifier instead of running again, and
+    its seconds are the time of that same run: runs are deterministic, so a
+    second run would give the same results.
+    """
     result = ExperimentResult()
     probes = [cfg.probe_trials if m == "online" else cfg.tree_probe_trials
               for m in cfg.methods]
@@ -369,12 +461,18 @@ def run_experiment(cfg: ExperimentConfig = ExperimentConfig()) -> ExperimentResu
         for budget in cfg.budgets:
             params = _tune(cfg, method, budget, trials, result)
             rows = []
-            for t in range(cfg.trials):
-                start = time.perf_counter()
-                stored, sparsifier = _run_one(trials[t], method, params)[:2]
-                seconds = time.perf_counter() - start
-                err = _error(trials[t].L, sparsifier)
-                rows.append(RawRow(method, budget, t, stored, err, seconds))
+            for trial in trials[:cfg.trials]:
+                if trial.finished is not None and \
+                        trial.finished[:2] == (method, params):
+                    stored, sparsifier, seconds = trial.finished[2:]
+                    result.tuning[(method, budget)]["reused"] += 1
+                else:
+                    start = time.perf_counter()
+                    stored, sparsifier = _run_one(trial, method, params)[:2]
+                    seconds = time.perf_counter() - start
+                err = _error(trial.L, sparsifier)
+                rows.append(RawRow(method, budget, trial.index, stored, err,
+                                   seconds))
             result.raw.extend(rows)
             result.rows.append(ResultRow(
                 method, budget,

@@ -116,6 +116,14 @@ class RobustHyperWrapperState:
             self.switch_count += 1
         return self.exposed
 
+    def stats(self) -> dict:
+        """Counters of this wrapper, as a plain dict: switches of the
+        exposed hypergraph, the graph wrapper's stats() under
+        "graph_wrapper" and the hypergraph sampler's under "sampler"."""
+        return {"switches": self.switch_count,
+                "graph_wrapper": self.graph_wrapper.stats(),
+                "sampler": self.sampler.stats()}
+
 
 # -- adversary game harness ---------------------------------------------
 

@@ -214,9 +214,9 @@ class TestRunExperiment:
         used = set()
         run = bench._run_merge_reduce
 
-        def spy(trial, block_size):
+        def spy(trial, block_size, cap=math.inf):
             used.add(trial.index)
-            return run(trial, block_size)
+            return run(trial, block_size, cap)
 
         monkeypatch.setattr(bench, "_run_merge_reduce", spy)
         cfg = ExperimentConfig(n=12, m=200, budgets=(60,), trials=1,
@@ -310,20 +310,24 @@ class TestProbeCache:
            st.integers(min_value=1, max_value=200),
            st.integers(min_value=0, max_value=2**16),
            st.sampled_from(("merge_reduce", "streaming")),
+           st.sampled_from((10, 40, 150)),
            st.data())
     @settings(max_examples=30, deadline=None)
-    def test_cached_counts_equal_direct_runs(self, n, m, seed, method, data):
-        # any order of blocks, crowded around each trial's push count
-        cfg = ExperimentConfig(n=n, m=m, seed=seed, tree_probe_trials=2)
+    def test_cached_counts_equal_direct_runs(self, n, m, seed, method, budget,
+                                             data):
+        # any order of blocks, crowded around each trial's push count; the
+        # one-probe count runs with a cap of budget + 25
+        cfg = ExperimentConfig(n=n, m=m, seed=seed, tree_probe_trials=2,
+                               tolerance=50)
         trials = [_Trial(cfg, i) for i in range(2)]
-        budget = 40
+        cap = budget + 25
         base = ({"c": bench.PAPER_C_OL_STR.get(budget, 5.0)}
                 if method == "streaming" else {})
 
         run_one = bench._run_one
 
-        def direct(t, block):
-            return run_one(t, method, {**base, "block_size": block})
+        def direct(t, block, cap=math.inf):
+            return run_one(t, method, {**base, "block_size": block}, cap)
 
         near = [(direct(t, m + 1)[2].pushed + d) // k for t in trials
                 for d in range(-2, 3) for k in (1, 2)]
@@ -332,37 +336,55 @@ class TestProbeCache:
             min_size=1, max_size=12).map(lambda bs: [max(b, 1) for b in bs]))
         answers, runs = [], []
 
-        def sweep(count_one, count_of, budget, tolerance):
+        def sweep(count_one, count_of, budget, tolerance, finish):
             for b in blocks:
-                answers.append((b, count_one(float(b)), count_of(float(b))))
+                answers.append((b, count_one(float(b)), count_of(float(b)),
+                                finish(float(b))))
             return float(blocks[0]), answers[0][2]
 
-        def spy(trial, m, params):
-            runs.append((trial.index, params["block_size"]))
-            return direct(trial, params["block_size"])
+        def spy(trial, m, params, cap=math.inf):
+            runs.append((trial.index, params["block_size"], cap))
+            return direct(trial, params["block_size"], cap)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bench, "_tune_tree_knob", sweep)
             mp.setattr(bench, "_run_one", spy)
             _tune(cfg, method, budget, trials, ExperimentResult())
-        for b, one, mean in answers:
-            counts = [direct(t, b)[0] for t in trials]
-            assert one == counts[0]
-            assert mean == float(np.mean(counts))
-        # and it runs exactly the probes it cannot answer: a repeat, or a
-        # block b with 2 b > P on a trial whose run of P pushes never merged,
-        # is answered; everything else runs (count_one asks trial 0, then
-        # count_of asks trials 0 and 1)
-        want, never_merged = [], {}
+        # it runs exactly the probes it cannot answer: a repeat, or a block
+        # b with 2 b > P on a trial whose run of P pushes never merged, is
+        # answered; everything else runs (count_one asks trial 0 capped,
+        # then count_of asks trials 0 and 1 and finish asks trial 0). A
+        # stopped count answers capped asks only: its repeat, and, if its
+        # tower had not merged after its P pushes, every block b with
+        # 2 b > P. A capped ask takes a full count when there is one
+        want, done, never_merged, capped_full = [], set(), {}, []
         for b in blocks:
-            for t in (0, 0, 1):
-                if 2 * b > never_merged.get(t, math.inf) or (t, b) in want:
+            for t, capped in ((0, True), (0, False), (1, False), (0, False)):
+                kinds = (False, True) if capped else (False,)
+                if capped:
+                    capped_full.append(
+                        2 * b > never_merged.get((t, False), math.inf)
+                        or (t, b, False) in done)
+                if any(2 * b > never_merged.get((t, s), math.inf)
+                       for s in kinds) or \
+                        any((t, b, s) in done for s in kinds):
                     continue
-                want.append((t, b))
-                tree = direct(trials[t], b)[2]
+                want.append((t, b, cap if capped else math.inf))
+                out, tree = direct(trials[t], b, want[-1][2])[1:]
+                done.add((t, b, out is None))
                 if tree.height <= 1:
-                    never_merged[t] = tree.pushed
+                    never_merged[t, out is None] = tree.pushed
         assert runs == want
+        for (b, one, mean, full_one), full in zip(answers, capped_full):
+            counts = [direct(t, b)[0] for t in trials]
+            stopped = direct(trials[0], b, cap)
+            # a count that passes the cap stops there: a lower bound
+            assert (stopped[1] is None) == (counts[0] > cap)
+            if counts[0] > cap:
+                assert cap < stopped[0] <= counts[0]
+            assert one == (counts[0] if full else stopped[0])
+            assert mean == float(np.mean(counts))
+            assert full_one == counts[0]
 
     @pytest.mark.parametrize("method", ["merge_reduce", "streaming"])
     def test_tune_runs_each_probe_once(self, monkeypatch, method):
@@ -371,8 +393,8 @@ class TestProbeCache:
         trials = [_Trial(cfg, i) for i in range(2)]
         run_one, runs = bench._run_one, []
 
-        def spy(trial, m, params):
-            out = run_one(trial, m, params)
+        def spy(trial, m, params, cap=math.inf):
+            out = run_one(trial, m, params, cap)
             runs.append((trial.index, params["block_size"], out[2]))
             return out
 
@@ -404,9 +426,221 @@ class TestProbeCache:
                 for t in probes]))
 
         knob, _ = _tune_tree_knob(lambda b: count_of(b, trials[:1]),
-                                  count_of, 200, 30)
+                                  count_of, 200, 30,
+                                  lambda b: count_of(b, trials[:1]))
         assert params["block_size"] == max(int(round(knob)), 4)
         assert len(runs) < len(ref_runs)
+
+
+class TestCappedProbes:
+    """The one-probe count stops at budget + the sweep tolerance; the sweep
+    picks what a sweep of full counts picks."""
+
+    @staticmethod
+    def uncapped_tune(cfg, method, budget, trials):
+        """_tune with every tower run to the end: the sweep without a cap."""
+        run_one = bench._run_one
+        result = ExperimentResult()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench, "_run_one",
+                       lambda t, m, params, cap=math.inf: run_one(t, m, params))
+            params = _tune(cfg, method, budget, trials, result)
+        return params, result
+
+    @given(st.integers(min_value=3, max_value=10),
+           st.integers(min_value=1, max_value=300),
+           st.integers(min_value=0, max_value=2**16),
+           st.sampled_from(("merge_reduce", "streaming")),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from((1, 5, 10, 20, 40, 60, 150, 1000)),
+           st.sampled_from((10, 50, 200)))
+    @settings(max_examples=60, deadline=None)
+    def test_capped_tune_equals_uncapped_sweep(self, n, m, seed, method,
+                                               probes, budget, tolerance):
+        # budget 1 lies below, and 1000 above, the counts most blocks reach
+        # here, so those sweeps mostly end in the fallback
+        cfg = ExperimentConfig(n=n, m=m, seed=seed, tolerance=tolerance,
+                               tree_probe_trials=probes)
+        trials = [_Trial(cfg, i) for i in range(probes)]
+        result = ExperimentResult()
+        params = _tune(cfg, method, budget, trials, result)
+        ref_params, ref = self.uncapped_tune(cfg, method, budget, trials)
+        assert params == ref_params
+        assert result.tuned == ref.tuned
+        assert result.warnings == ref.warnings
+        assert ref.tuning[method, budget]["stopped"] == 0
+
+    @given(st.integers(min_value=20, max_value=200),
+           st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_fallback_finishes_lower_bounds_that_could_win(self, budget,
+                                                           seed):
+        # random counts per block on a coarse grid, so gaps often tie; a
+        # confirming mean never lands in the window, so every sweep ends in
+        # the fallback. A count above the window comes as a lower bound,
+        # often equal to the count itself
+        rng = np.random.default_rng(seed)
+        tolerance = 25
+        cap = budget + tolerance
+        full, low = {}, {}
+
+        def exact(block):
+            if block not in full:
+                full[block] = float(rng.integers(0, 3 * budget) // 10 * 10)
+                low[block] = full[block] if full[block] <= cap else float(
+                    rng.choice([cap + 1, full[block]]))
+            return full[block]
+
+        def mean(block):
+            return exact(block) + 60.0
+
+        want = _tune_tree_knob(exact, mean, budget, tolerance, exact)
+        finished = []
+
+        def finish(block):
+            finished.append(block)
+            return exact(block)
+
+        def one(block):
+            exact(block)
+            return low[block]
+
+        got = _tune_tree_knob(one, mean, budget, tolerance, finish=finish)
+        assert got == want
+        # only lower bounds get finished, and none whose gap exceeds the
+        # full gap of the pick
+        for block in finished:
+            assert full[block] > cap
+            assert low[block] - budget <= abs(want[1] - budget)
+
+    def test_stopped_probe_is_the_fallback_pick(self, monkeypatch):
+        # a fake tower whose counts jump over the window: below 60 it keeps
+        # 20 items, from 60 on 160 + (block % 11), and a capped run stops at
+        # cap + 1 + (block % 7). No block hits, and the closest count
+        # belongs to a probe that stopped at the cap
+        cfg = ExperimentConfig(n=10, m=50, budgets=(100,), tolerance=50,
+                               tree_probe_trials=2)
+        trials = [_Trial(cfg, i) for i in range(2)]
+        tower = type("Tower", (), {"height": 5, "pushed": 50})()
+        runs = []
+
+        def fake(t, method, params, cap=math.inf):
+            block = params["block_size"]
+            count = 20 if block < 60 else 160 + block % 11
+            stopped = count > cap
+            runs.append((t.index, block, stopped))
+            if stopped:
+                return cap + 1 + block % 7, None, tower
+            return count, Graph(cfg.n, []), tower
+
+        monkeypatch.setattr(bench, "_run_one", fake)
+        result = ExperimentResult()
+        params = _tune(cfg, "merge_reduce", 100, trials, result)
+        ref_params, ref = self.uncapped_tune(cfg, "merge_reduce", 100, trials)
+        assert params == ref_params and result.warnings == ref.warnings
+        assert result.tuned == ref.tuned
+        # the first probed block with the smallest count, finished after
+        # its capped run stopped
+        stopped = [b for t, b, s in runs if s]
+        block = min(stopped, key=lambda b: b % 11)
+        assert params["block_size"] == block
+        assert result.warnings == [
+            f"merge_reduce budget 100: tuned mean stored count "
+            f"{160 + block % 11} outside +-50"]
+        assert (0, block, False) in runs[runs.index((0, block, True)):]
+        tally = result.tuning["merge_reduce", 100]
+        assert tally["stopped"] == sum(s for _, _, s in runs)
+
+
+class TestFinalTrialReuse:
+    """run_experiment takes a final trial's results from the tuning run
+    that already ran it."""
+
+    # streaming at budget 360 ends in the fallback, on a block whose
+    # probe runs later runs replaced
+    CFG = ExperimentConfig(n=20, m=600, budgets=(200, 240, 360), trials=3,
+                           probe_trials=2, tree_probe_trials=2, tolerance=60)
+
+    @staticmethod
+    def traced_run(cfg, reuse=True):
+        """run_experiment with a spy on _run_one: returns the result and
+        the (phase, method, trial, stopped) of every call."""
+        calls, phase = [], ["final"]
+        run_one, tune = bench._run_one, bench._tune
+
+        def spy(trial, method, params, cap=math.inf):
+            out = run_one(trial, method, params, cap)
+            calls.append((phase[0], method, trial.index, out[1] is None))
+            return out
+
+        def tuning(cfg, method, budget, trials, result):
+            phase[0] = "tune"
+            params = tune(cfg, method, budget, trials, result)
+            phase[0] = "final"
+            if not reuse:
+                for t in trials:
+                    t.finished = None
+            return params
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench, "_run_one", spy)
+            mp.setattr(bench, "_tune", tuning)
+            result = run_experiment(cfg)
+        return result, calls
+
+    def test_reused_rows_equal_rerun_rows(self):
+        cfg = self.CFG
+        result, calls = self.traced_run(cfg)
+        ref, ref_calls = self.traced_run(cfg, reuse=False)
+
+        def rows(res):
+            return ([(r.method, r.budget, r.trial, r.stored_edges, r.error)
+                     for r in res.raw],
+                    [(r.method, r.budget, r.stored_edges, r.error)
+                     for r in res.rows])
+
+        assert rows(result) == rows(ref)
+        assert result.tuned == ref.tuned and result.warnings == ref.warnings
+        # online probes count without a _run_one call; every final trial
+        # of the rerun reference runs
+        assert [p for p, m, *_ in ref_calls if m == "online"] == \
+            ["final"] * 3 * 3
+        assert sum(p == "final" for p, *_ in ref_calls) == 3 * 3 * 3
+        # a hit block's probe trials ran to the end at that block: their
+        # final trials make no _run_one call, the trials above still run
+        final = [(m, t) for p, m, t, _ in calls if p == "final"]
+        assert [t for m, t in final if m == "merge_reduce"] == [2, 2, 2]
+        assert [t for m, t in final if m == "streaming"] == [2, 2, 0, 1, 2]
+        assert [t for m, t in final if m == "online"] == [0, 1, 2] * 3
+        assert result.warnings == [
+            "streaming budget 360: tuned mean stored count 276 outside +-60"]
+
+    def test_tuning_counters_add_up(self):
+        cfg = self.CFG
+        result, calls = self.traced_run(cfg)
+        assert set(result.tuning) == {(m, b) for m in cfg.methods
+                                      for b in cfg.budgets}
+        for method in cfg.methods:
+            tune_calls = [s for p, m, _, s in calls
+                          if p == "tune" and m == method]
+            final_calls = [s for p, m, _, s in calls
+                           if p == "final" and m == method]
+            tallies = [result.tuning[method, b] for b in cfg.budgets]
+            for tally in tallies:
+                assert tally["probes"] == tally["runs"] + tally["cached"]
+                assert 0 <= tally["stopped"] <= tally["runs"]
+            if method == "online":
+                assert all(t["cached"] == t["stopped"] == t["reused"] == 0
+                           for t in tallies)
+                assert tune_calls == []
+                continue
+            assert sum(t["runs"] for t in tallies) == len(tune_calls)
+            assert sum(t["stopped"] for t in tallies) == sum(tune_calls)
+            assert not any(final_calls)
+            assert (sum(t["reused"] for t in tallies) + len(final_calls)
+                    == cfg.trials * len(cfg.budgets))
+        assert sum(t["stopped"] for t in result.tuning.values()) > 0
+        assert sum(t["reused"] for t in result.tuning.values()) > 0
 
 
 class TestCli:

@@ -121,6 +121,27 @@ class TestStats:
         assert s["switches"] > 1
         assert s["inner"]["kept"] == state.inner.kept_count < 200
 
+    def test_hyper_counters_add_up(self):
+        n, r = 6, 3
+        state = RobustHyperWrapperState(n, 0.8, r=r, m_hint=60, seed=3)
+        rng = np.random.default_rng(13)
+        pairs = 0
+        for _ in range(60):
+            vertices = tuple(int(v) for v in rng.choice(n, size=r,
+                                                        replace=False))
+            state.step(Hyperedge(vertices, float(rng.uniform(1.0, 3.0))))
+            pairs += r * (r - 1) // 2
+        s = state.stats()
+        assert s == {"switches": state.switch_count,
+                     "graph_wrapper": state.graph_wrapper.stats(),
+                     "sampler": state.sampler.stats()}
+        # one exposed switch per step in which the graph wrapper switched
+        # at least once; every clique pair is one scored graph row
+        assert 1 <= s["switches"] <= s["graph_wrapper"]["switches"]
+        assert s["graph_wrapper"]["inner"]["scored"] == pairs
+        assert s["sampler"]["seen"] == 60
+        assert s["sampler"]["kept"] == state.sampler.sparsifier().m
+
 
 class TestMaintainedLaplacian:
     @pytest.mark.parametrize("c,fed", [(1e12, 0), (0.3, 0), (0.3, 40)])
