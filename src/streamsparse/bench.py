@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (Graph, KernelMismatchError, WeightedEdge, _accumulate,
-                    _columns, _components, _resistance, laplacian,
-                    pseudo_inverse, rayleigh_error)
+                    _columns, _resistance_solve, laplacian, rayleigh_error)
 from .io import load_snap
 from .merge_reduce import (MergeReduceTree, OnlineConfig, StreamPipelineConfig,
                            StreamSparsifier, TreeConfig)
@@ -127,16 +126,18 @@ def gen_synthetic(n: int, m: int, seed: int,
 def batch_online_leverages(g: Graph, batch_size: int = 100) -> np.ndarray:
     """Leverage of each edge against the exact Laplacian of the prefix up to
     the previous batch boundary; inf when the endpoints are not yet
-    connected there (forcing p = 1)."""
+    connected there (forcing p = 1). Each boundary reads the batch's
+    resistances and the pairs that straddle components from one solve on
+    the prefix Laplacian (graph._resistance_solve)."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     out = np.full(g.m, math.inf)
     L = np.zeros((g.n, g.n))
     for start in range(0, g.m, batch_size):
         u, v, w = _columns(g.edges[start:start + batch_size])
         if start:
-            labels = _components(L)
-            lev = w * _resistance(pseudo_inverse(L), u, v)
-            out[start:start + u.size] = np.where(labels[u] == labels[v],
-                                                 lev, math.inf)
+            R, cross = _resistance_solve(L, u, v)
+            out[start:start + u.size] = np.where(cross, math.inf, w * R)
         _accumulate(L, u, v, w)
     return out
 

@@ -147,17 +147,29 @@ def _resistance_solve(G: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
 
     P = sum_k 1_Ck 1_Ck^T / |Ck| projects onto ker G, so G + P is
     nonsingular and G^+ = (G + P)^{-1} - P. One solve on the distinct
-    endpoint columns gives every entry the gather reads. A straddling pair
-    gets the pseudo-inverse value G^+_uu + G^+_vv, since G^+_uv = 0.
+    endpoint columns gives every entry the gather reads. d_uv^T P d_uv is
+    0 inside a component; a straddling pair gets the pseudo-inverse value
+    G^+_uu + G^+_vv, since G^+_uv = 0.
+
+    The solve runs on G / s, s the largest diagonal entry, and the result
+    is divided by s. G / s has eigenvalues at most 2, so in
+    (G / s + P)^{-1} = (G / s)^+ + P the entries of P never swamp those
+    of (G / s)^+, whatever the scale of the weights.
     """
+    n = G.shape[0]
     labels = _components(G)
-    same = labels[:, None] == labels[None, :]
-    P = same / np.bincount(labels)[labels][:, None]
-    cols, idx = np.unique(np.concatenate((u, v)), return_inverse=True)
-    E = np.zeros((G.shape[0], cols.size))
+    size = np.bincount(labels)[labels]
+    s = G.diagonal().max(initial=0.0) or 1.0
+    P = (labels[:, None] == labels[None, :]) / size[:, None]
+    used = np.zeros(n, dtype=bool)
+    used[u] = used[v] = True
+    cols, at = np.flatnonzero(used), np.cumsum(used) - 1
+    E = np.zeros((n, cols.size))
     E[cols, np.arange(cols.size)] = 1.0
-    K = np.linalg.solve(G + P, E)[cols] - P[np.ix_(cols, cols)]
-    return _resistance(K, idx[:len(u)], idx[len(u):]), labels[u] != labels[v]
+    K = np.linalg.solve(G / s + P, E)[cols]
+    cross = labels[u] != labels[v]
+    R = _resistance(K, at[u], at[v]) - cross * (1.0 / size[u] + 1.0 / size[v])
+    return R / s, cross
 
 
 _REFRESH_EVERY = 512   # folds between full refreshes of a maintained inverse
@@ -317,7 +329,9 @@ def leverage(g: Graph, e: WeightedEdge) -> float:
 
 
 def leverages(g: Graph) -> np.ndarray:
-    """Leverage scores of all edges against the full graph, one solve."""
+    """Leverage scores of all edges against the full graph, from one
+    eigendecomposition (pseudo_inverse). The reference oracle: the
+    reductions and the batch scores read _resistance_solve instead."""
     if g.m == 0:
         return np.zeros(0)
     Lp = pseudo_inverse(laplacian(g))

@@ -31,8 +31,8 @@ class TreeConfig:
     def __post_init__(self):
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if self.rho is not None and self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if self.rho is not None and not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
 
 
 def eps_per_level(eps: float, height: int) -> float:

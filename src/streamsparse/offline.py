@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, WeightedEdge, _unchecked_graph, leverages
+from .graph import (Graph, WeightedEdge, _columns, _resistance_solve,
+                    _unchecked_graph, laplacian)
 from .rng import UniformByIndex
 
 
@@ -21,14 +22,32 @@ class OfflineSampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
+
+
+# a leverage this close to 1 is a bridge's (exactly 1) read with rounding
+_BRIDGE = 1.0 - 1e-12
 
 
 def keep_probabilities(g: Graph, rho: float) -> np.ndarray:
-    """min(1, rho * leverage(e)) per edge; leverage is per connected
-    component (the pseudoinverse handles disconnection transparently)."""
-    return np.minimum(1.0, rho * leverages(g))
+    """min(1, rho * leverage(e)) per edge, rho in (0, inf).
+
+    Leverages are read against g's own Laplacian L from one solve of
+    L / s + P (graph._resistance_solve: P the projector onto each
+    connected component's constants, s the largest weighted degree), so no
+    eigendecomposition runs, a disconnected g needs no special case and
+    the probabilities do not depend on the unit of weight. A leverage
+    against a graph that contains the edge never exceeds 1; one above
+    _BRIDGE counts as exactly 1, so a bridge gets p = 1.0 for every
+    rho >= 1 and keeps its weight bit for bit.
+    """
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
+    u, v, w = _columns(g.edges)
+    lev = w * _resistance_solve(laplacian(g), u, v)[0]
+    lev[lev > _BRIDGE] = 1.0
+    return np.minimum(1.0, rho * lev)
 
 
 def er_sparsify(g: Graph, cfg: OfflineSampleConfig) -> Graph:

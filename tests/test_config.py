@@ -1,8 +1,11 @@
 """Config objects reject bad values when they are built, not at first use."""
 
+import math
+
 import pytest
 
-from streamsparse import (ExperimentConfig, HyperSamplerConfig, OnlineConfig,
+from streamsparse import (ExperimentConfig, HyperSamplerConfig,
+                          OfflineSampleConfig, OnlineConfig,
                           SlidingWindowConfig, TreeConfig)
 
 
@@ -17,10 +20,17 @@ from streamsparse import (ExperimentConfig, HyperSamplerConfig, OnlineConfig,
     lambda: OnlineConfig(eps=-0.5),
     lambda: TreeConfig(block_size=4, rho=0),
     lambda: TreeConfig(block_size=4, rho=-1),
+    lambda: TreeConfig(block_size=4, rho=math.nan),
+    lambda: TreeConfig(block_size=4, rho=math.inf),
+    lambda: OfflineSampleConfig(rho=0),
+    lambda: OfflineSampleConfig(rho=math.nan),
+    lambda: OfflineSampleConfig(rho=math.inf),
     lambda: ExperimentConfig(batch_size=0),
 ], ids=["window-eps0", "window-eps-neg", "window-rho0", "window-rho-neg",
         "hyper-eps0", "hyper-eps-neg", "online-eps0", "online-eps-neg",
-        "tree-rho0", "tree-rho-neg", "experiment-batch0"])
+        "tree-rho0", "tree-rho-neg", "tree-rho-nan", "tree-rho-inf",
+        "offline-rho0", "offline-rho-nan", "offline-rho-inf",
+        "experiment-batch0"])
 def test_bad_values_fail_at_construction(build):
     with pytest.raises(ValueError):
         build()

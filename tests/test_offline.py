@@ -1,15 +1,18 @@
 """Offline effective-resistance sampling (the coreset reducer)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamsparse import (Graph, OfflineSampleConfig, WeightedEdge,
-                          er_sparsify, keep_probabilities, laplacian,
-                          rayleigh_error)
-from streamsparse.bench import gen_synthetic
+from streamsparse import (Graph, OfflineSampleConfig, TreeConfig,
+                          WeightedEdge, er_sparsify, keep_probabilities,
+                          laplacian, leverages, mr_sparsify, rayleigh_error)
+from streamsparse.bench import batch_online_leverages, gen_synthetic
 from streamsparse.rng import UniformByIndex
 
-from test_graph import random_connected
+from test_graph import random_connected, split_laplacians, union_find_labels
 
 
 def test_probabilities_clamped():
@@ -97,3 +100,64 @@ def test_rejects_reweighted_overflow(monkeypatch):
                         lambda g, rho: np.full(g.m, 0.5))
     with pytest.raises(ValueError):
         er_sparsify(g, OfflineSampleConfig(rho=1.0, seed=0))
+
+
+@pytest.mark.parametrize("rho", [-1.0, 0.0, math.nan, math.inf])
+def test_keep_probabilities_rejects_bad_rho(rho):
+    with pytest.raises(ValueError):
+        keep_probabilities(random_connected(np.random.default_rng(5), 6), rho)
+
+
+class TestLeveragesWithoutEigh:
+    @given(split_laplacians(), st.floats(min_value=1e-3, max_value=1e3))
+    @settings(max_examples=150, deadline=None)
+    def test_match_pseudo_inverse_and_keep_bridges(self, case, rho):
+        """Disconnected graphs, isolated vertices and repeated pairs: the
+        probabilities equal those of the pseudo_inverse oracle, and at
+        rho >= 1 every bridge (an edge whose removal splits its component)
+        gets p = 1 exactly."""
+        n, edges, _, _ = case
+        g = Graph(n, edges)
+        p = keep_probabilities(g, rho)
+        np.testing.assert_allclose(p, np.minimum(1.0, rho * leverages(g)),
+                                   rtol=1e-9, atol=0)
+        for i, (u, v, _) in enumerate(edges):
+            labels = union_find_labels(n, edges[:i] + edges[i + 1:])
+            if rho >= 1 and labels[u] != labels[v]:
+                assert p[i] == 1.0
+
+    @given(split_laplacians(), st.floats(min_value=-6, max_value=15))
+    @settings(max_examples=150, deadline=None)
+    def test_scale_free(self, case, exponent):
+        """Leverages do not depend on the unit of weight: scaling every
+        weight by 10**exponent leaves the probabilities unchanged."""
+        n, edges, _, _ = case
+        c = 10.0 ** exponent
+        scaled = Graph(n, [WeightedEdge(u, v, w * c) for u, v, w in edges])
+        np.testing.assert_allclose(keep_probabilities(scaled, 0.3),
+                                   keep_probabilities(Graph(n, edges), 0.3),
+                                   rtol=1e-9, atol=0)
+
+    def test_heavy_bridge_is_kept(self):
+        # 1e17 + 1 rounds to 1e17: a unit grounding added to this Laplacian
+        # leaves it singular
+        g = Graph(2, [WeightedEdge(0, 1, 1e17)])
+        assert keep_probabilities(g, 1.0).tolist() == [1.0]
+        assert er_sparsify(g, OfflineSampleConfig(rho=1.0)).edges == g.edges
+
+
+def test_reductions_need_no_eigendecomposition(monkeypatch):
+    """The tower's reductions and the batch scores read a component-aware
+    solve; an eigendecomposition on their path fails here."""
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called on a reduction path")
+
+    # two components, an isolated vertex 6 and repeated pairs
+    g = Graph(7, [WeightedEdge(u, v, w) for u, v, w in [
+        (0, 1, 1.0), (1, 2, 2.0), (0, 1, 3.0), (2, 0, 1.5),
+        (3, 4, 2.0), (4, 5, 1.0), (3, 4, 0.5), (5, 3, 4.0)] * 3])
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert er_sparsify(g, OfflineSampleConfig(rho=0.5, seed=1)).m > 0
+    out, tree = mr_sparsify(g, TreeConfig(block_size=4, seed=2, rho=0.5))
+    assert out.m > 0 and tree.height > 1
+    assert np.isfinite(batch_online_leverages(g, batch_size=5)[5:]).any()
