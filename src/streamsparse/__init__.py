@@ -4,7 +4,7 @@ from .graph import (DisconnectedError, Graph, IncidenceRow, KernelMismatchError,
                     SpectralSketch, WeightedEdge,
                     effective_resistance, incidence_matrix, laplacian,
                     leverage, leverages, pseudo_inverse, pseudo_solve,
-                    rayleigh_error, ridge_leverage)
+                    rayleigh_error)
 from .offline import OfflineSampleConfig, er_sparsify, keep_probabilities
 from .online import (OnlineSamplerState, default_c, exact_online_leverages,
                      online_sparsify)

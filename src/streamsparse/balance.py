@@ -62,9 +62,10 @@ def clique_pairs(vertices) -> list[tuple[int, int]]:
 
 
 class _CliqueBlock(NamedTuple):
-    """The r x r block S = M[vs][:, vs] of a sketch's grounded inverse M on
-    the sorted vertices vs of a clique that lies in one sketch component,
-    and the local indices (iu, iv) into vs of the clique's pairs."""
+    """The r x r block S of (G + s Q)^{-1}, read from a sketch's grounded
+    inverse (graph._GroundedInverse.block) on the sorted vertices vs of a
+    clique that lies in one sketch component, and the local indices
+    (iu, iv) into vs of the clique's pairs."""
 
     S: np.ndarray
     iu: np.ndarray
@@ -75,8 +76,7 @@ def _ratio_base(sketch: SpectralSketch | np.ndarray,
                 e: "Hyperedge") -> _CliqueBlock | np.ndarray:
     """What the shift loop reads the ratios of e's clique from: for a
     SpectralSketch with the whole clique in one component, the clique's
-    block of the sketch's grounded inverse (synced first); otherwise the
-    Gram matrix."""
+    block of the sketch's grounded inverse; otherwise the Gram matrix."""
     if not isinstance(sketch, SpectralSketch):
         return np.asarray(sketch)
     inv = sketch._grounded_inverse()
@@ -84,7 +84,7 @@ def _ratio_base(sketch: SpectralSketch | np.ndarray,
         return sketch.gram
     vs = np.array(e.vertices)
     iu, iv = np.array(clique_pairs(range(vs.size)), dtype=np.intp).T
-    return _CliqueBlock(inv.M[vs[:, None], vs], iu, iv)
+    return _CliqueBlock(inv.block(vs), iu, iv)
 
 
 def _pair_ratios(base: _CliqueBlock | np.ndarray,
@@ -95,10 +95,10 @@ def _pair_ratios(base: _CliqueBlock | np.ndarray,
     The ratio tau/z of a pair equals this quadratic form for any z, which
     also covers pairs currently at z = 0.
 
-    From a _CliqueBlock: K has the components of G, so the grounding Q of
-    M = (G + Q)^{-1} still holds for K, and with L_z the clique's
+    From a _CliqueBlock: K has the components of G, so the grounding s Q
+    of (G + s Q)^{-1} still holds for K, and with L_z the clique's
     z-weighted Laplacian on its r vertices the r x r block of
-    (K + Q)^{-1} is B = (I + S L_z)^{-1} S, an O(r^3) solve. From a Gram
+    (K + s Q)^{-1} is B = (I + S L_z)^{-1} S, an O(r^3) solve. From a Gram
     matrix G: one solve of K plus the projector onto its kernel, on the
     clique's vertex columns (graph._resistance_solve); a pair straddling
     components of K gets the pseudo-inverse value K^+_uu + K^+_vv.

@@ -28,12 +28,6 @@ class IncidenceRow(NamedTuple):
     v: int
     scale: float
 
-    def dense(self, n: int) -> np.ndarray:
-        a = np.zeros(n)
-        a[self.u] = self.scale
-        a[self.v] = -self.scale
-        return a
-
 
 @dataclass
 class Graph:
@@ -173,55 +167,112 @@ def _resistance_solve(G: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 _REFRESH_EVERY = 512   # folds between full refreshes of a maintained inverse
+_BLOCK = 32            # pending rank-1 terms folded into M by one GEMM
 
 
 class _GroundedInverse:
-    """M = (G + Q)^{-1} for the Gram matrix G of a growing SpectralSketch,
-    with Q = sum_r e_r e_r^T grounding every component of G at one root
-    vertex, plus component labels (each vertex's root; roots label
-    themselves). For u, v in one component, d_uv^T M d_uv = d_uv^T G^+ d_uv,
-    so a resistance is an O(1) gather _resistance(M, u, v).
+    """K = (G / s + Q)^{-1} for a growing Gram matrix G, with
+    Q = sum_r e_r e_r^T grounding every component of G at one root vertex,
+    component labels (each vertex's root; roots label themselves) and
+    their count, and a scale s. For u, v in one component, d_uv^T K d_uv = s d_uv^T G^+ d_uv.
 
-    sync() folds the sketch rows appended since the last call, in order:
-    a row inside a component is a Sherman-Morrison update, a row joining
-    two components an exact rank-2 update that drops the smaller one's
-    root. A sync that brings the folds since the last refresh to
-    refresh_every ends by recomputing M as inv(G + Q).
+    The scale keeps the grounding next to the Gram's own entries: s is the
+    first fold's weight, and is re-taken as the largest diagonal entry of G
+    at every refresh and every build from a Gram matrix. G / s then has
+    eigenvalues of order 1 or less, so Q never swamps them, whatever the
+    unit of the weights (the rule of _resistance_solve).
+
+    K is kept as M - Y Y^T, Y an n x _BLOCK block of pending rank-1 terms
+    (delayed Sherman-Morrison). A fold of t d d^T inside a component
+    appends the column sqrt(beta) z to Y, with z = K d and
+    beta = (t / s) / (1 + (t / s) d^T z), in O(n * _BLOCK); a full Y folds
+    into M by one GEMM. A fold joining two components first folds Y into M,
+    then makes an exact rank-2 update that drops the smaller component's
+    root. Readers go through resistance() and block(), never M alone.
+    Every refresh_every folds, maybe_refresh recomputes M as inv(G / s + Q)
+    and records the drift of the inverse it replaces.
     """
 
     def __init__(self, n: int, refresh_every: int):
         self.M = np.eye(n)                  # G = 0: every vertex a root
         self.labels = np.arange(n)
+        self.components = n
+        self.s = 0.0                        # unset until G has a row
+        self._Y = np.zeros((n, _BLOCK))     # columns past _pending are zero
+        self._pending = 0
         self._size = np.ones(n, dtype=np.intp)  # component size by root
         self._refresh_every = refresh_every
         self._since_refresh = 0
         self.folds = 0
+        self.block_folds = 0
         self.joins = 0
         self.refreshes = 0
         self.drift = 0.0
 
+    # -- reads ---------------------------------------------------------
+
     def straddles(self, vertices) -> bool:
         """True when the vertices lie in more than one component."""
+        if self.components == 1:
+            return False
         labels = self.labels[list(vertices)]
         return bool((labels != labels[0]).any())
 
-    def sync(self, sketch: SpectralSketch) -> None:
-        for u, v, s in sketch.rows[self.folds:]:
-            self._fold(u, v, s * s)
-        if self._since_refresh >= self._refresh_every:
-            self._refresh(sketch.gram)
+    def resistance(self, u, v):
+        """d_uv^T G^+ d_uv for scalar or index-array endpoints, each pair
+        inside one component: the gather of M minus |Y_u - Y_v|^2, over s."""
+        r = _resistance(self.M, u, v)
+        if self._pending:
+            dy = self._Y[u] - self._Y[v]
+            r = r - (dy @ dy if dy.ndim == 1 else (dy * dy).sum(axis=1))
+        return r / self.s
 
-    def _fold(self, u: int, v: int, t: float) -> None:
-        """Fold t d d^T, d = e_u - e_v, into M."""
-        M, labels = self.M, self.labels
-        z = M[:, u] - M[:, v]
-        a, b = labels[u], labels[v]
-        if a == b:
-            M -= (t / (1.0 + t * (z[u] - z[v]))) * np.outer(z, z)
+    def block(self, vs: np.ndarray) -> np.ndarray:
+        """The vs x vs block of (G + s Q)^{-1} = K / s, for vertices vs of
+        one component; pairs in it read their G^+ resistances."""
+        Yv = self._Y[vs, :self._pending]
+        return (self.M[vs[:, None], vs] - Yv @ Yv.T) / self.s
+
+    def stats(self) -> dict:
+        """Rank-1 folds, block folds (one GEMM each, a full block or the
+        partial one a join folds first), folds that joined two components,
+        full recomputations (refreshes and builds from a Gram matrix), and
+        drift, the largest max |K (G / s + Q) - I| measured just before a
+        periodic refresh (0.0 before the first)."""
+        return {"folds": self.folds, "block_folds": self.block_folds,
+                "joins": self.joins, "refreshes": self.refreshes,
+                "drift": self.drift}
+
+    # -- updates -------------------------------------------------------
+
+    def sync(self, sketch: SpectralSketch) -> None:
+        """Fold the sketch rows appended since the last call, in order."""
+        for u, v, s in sketch.rows[self.folds:]:
+            self.fold(u, v, s * s)
+        self.maybe_refresh(sketch.gram)
+
+    def fold(self, u: int, v: int, t: float) -> None:
+        """Fold t d d^T, d = e_u - e_v, into the inverse."""
+        if not self.s:
+            self.s = t
+        t /= self.s
+        M, Y, labels = self.M, self._Y, self.labels
+        if self.components == 1 or labels[u] == labels[v]:
+            z = M[:, u] - M[:, v]
+            if self._pending:
+                z -= Y @ (Y[u] - Y[v])
+            Y[:, self._pending] = z * math.sqrt(t / (1.0 + t * (z[u] - z[v])))
+            self._pending += 1
+            if self._pending == _BLOCK:
+                self._fold_block()
         else:
             # join: B = the smaller component, v in B; B's root b leaves Q.
             # M is block diagonal, M e_b = 1_B, and the new inverse is
             # M + z 1_B^T + 1_B z^T + c 1_B 1_B^T with c = M_uu + M_vv + 1/t
+            if self._pending:
+                self._fold_block()
+            z = M[:, u] - M[:, v]
+            a, b = labels[u], labels[v]
             if self._size[a] < self._size[b]:
                 u, v, a, b, z = v, u, b, a, -z
             c = M[u, u] + M[v, v] + 1.0 / t
@@ -231,16 +282,49 @@ class _GroundedInverse:
             M[np.ix_(B, B)] += c
             labels[B] = a
             self._size[a] += self._size[b]
+            self.components -= 1
             self.joins += 1
         self.folds += 1
         self._since_refresh += 1
 
-    def _refresh(self, G: np.ndarray) -> None:
-        """Recompute M from G, first recording max |M (G + Q) - I|."""
-        n = G.shape[0]
-        A = G + np.diag((self.labels == np.arange(n)).astype(float))
-        self.drift = max(self.drift, float(np.abs(self.M @ A - np.eye(n)).max()))
-        self.M = np.linalg.inv(A)
+    def _fold_block(self) -> None:
+        Y = self._Y[:, :self._pending]
+        self.M -= Y @ Y.T
+        Y.fill(0.0)
+        self._pending = 0
+        self.block_folds += 1
+
+    def maybe_refresh(self, G: np.ndarray) -> None:
+        """Recompute the inverse from G, the Gram matrix of every row
+        folded so far, when refresh_every folds have passed since the last
+        recomputation; first record max |K (G / s + Q) - I|."""
+        if self._since_refresh < self._refresh_every:
+            return
+        Y = self._Y[:, :self._pending]
+        R = (self.M - Y @ Y.T) @ self._grounded(G) - np.eye(G.shape[0])
+        self.drift = max(self.drift, float(np.abs(R).max()))
+        self._recompute(G)
+
+    def rebuild(self, G: np.ndarray) -> None:
+        """Replace the inverse by the grounded inverse of the Gram matrix G,
+        with labels read from G's nonzero pattern."""
+        self.labels = _components(G)
+        self._size = np.bincount(self.labels, minlength=G.shape[0])
+        self.components = int(np.count_nonzero(self._size))
+        self._recompute(G)
+
+    def _grounded(self, G: np.ndarray) -> np.ndarray:
+        """G / s + Q, for the current scale and roots."""
+        A = G / self.s
+        roots = np.flatnonzero(self.labels == np.arange(len(A)))
+        A[roots, roots] += 1.0
+        return A
+
+    def _recompute(self, G: np.ndarray) -> None:
+        self.s = float(G.diagonal().max(initial=0.0))
+        self.M = np.linalg.inv(self._grounded(G)) if self.s else np.eye(len(G))
+        self._Y.fill(0.0)
+        self._pending = 0
         self._since_refresh = 0
         self.refreshes += 1
 
@@ -344,8 +428,8 @@ class SpectralSketch:
     rows approximates a Laplacian and drives sampling probabilities.
 
     Resistances on the sketch are read from one grounded inverse of the Gram
-    matrix (_GroundedInverse), built on the first _grounded_inverse() call
-    and brought up to date by every later one."""
+    matrix (_GroundedInverse), built on the first _grounded_inverse() call;
+    from then on every append folds its row into it at once."""
 
     def __init__(self, n: int):
         self.n = n
@@ -357,7 +441,7 @@ class SpectralSketch:
         """The grounded inverse with every row appended so far folded in."""
         if self._inverse is None:
             self._inverse = _GroundedInverse(self.n, _REFRESH_EVERY)
-        self._inverse.sync(self)
+            self._inverse.sync(self)
         return self._inverse
 
     def append(self, row: IncidenceRow) -> None:
@@ -366,6 +450,9 @@ class SpectralSketch:
         self.rows.append(row)
         u, v, s = row
         _stamp(self._gram, u, v, s * s)
+        if self._inverse is not None:
+            self._inverse.fold(u, v, s * s)
+            self._inverse.maybe_refresh(self._gram)
 
     @property
     def gram(self) -> np.ndarray:
@@ -374,23 +461,6 @@ class SpectralSketch:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-def ridge_leverage(sketch: SpectralSketch, row: IncidenceRow, lam: float) -> float:
-    """a^T (M^T M + lam I)^{-1} a for the dense vector a of row.
-
-    lam = 0 falls back to the pseudoinverse and requires a to lie in the
-    image of the Gram matrix.
-    """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    a = row.dense(sketch.n)
-    G = sketch.gram
-    if lam > 0:
-        x = np.linalg.solve(G + lam * np.eye(sketch.n), a)
-        return float(a @ x)
-    return _image_form(
-        G, a, "lam = 0 requires the row to lie in the image of the sketch")
 
 
 def rayleigh_error(L: np.ndarray, L_hat: np.ndarray,

@@ -6,9 +6,10 @@ are provided. The fast variant scores each hyperedge by the largest sketch
 resistance over its clique pairs; the balanced variant first splits the
 hyperedge weight across its pairs with a balanced assignment, which brings
 the sample count down at the cost of running the balancing loop. Both read
-the resistances from the sketch's grounded inverse of its Gram matrix, kept
-up row by row (O(n^2) per kept sketch row), so scoring a hyperedge is an
-O(r^2) gather and a balancing shift within one component an r x r solve.
+the resistances from the sketch's grounded inverse of its Gram matrix, the
+same one the row sampler scores from, kept up row by row (O(n * 32) per kept
+sketch row inside a component), so scoring a hyperedge is an O(r^2) gather
+and a balancing shift within one component an r x r solve.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .balance import clique_pairs, get_weight_assignment
-from .graph import Graph, IncidenceRow, WeightedEdge, _resistance
+from .graph import Graph, IncidenceRow, WeightedEdge
 from .online import OnlineSamplerState, default_c
 from .rng import UniformByIndex, spawn_seed
 
@@ -161,21 +162,19 @@ class HyperSamplerState:
 
     Clique rows of every arriving hyperedge update the shared row-sampler
     sketch whether or not the hyperedge itself is kept; keep decisions are
-    keyed by (seed, hyperedge index). Scoring and balancing both read the
-    sketch's grounded inverse, which folds every sketch row once, in order.
+    keyed by (seed, hyperedge index). The row sampler, hyperedge scoring
+    and balancing all read the sketch's one grounded inverse, which folds
+    every sketch row once, in order.
     """
 
     def __init__(self, n: int, cfg: HyperSamplerConfig):
         self.n = n
         self.cfg = cfg
         c = cfg.c if cfg.c is not None else default_c(cfg.m_hint, cfg.eps)
-        self.sampler = OnlineSamplerState(n, c, seed=spawn_seed(cfg.seed, 1),
-                                          eps=cfg.eps)
+        self.sampler = OnlineSamplerState(n, c, seed=spawn_seed(cfg.seed, 1))
         self.kept: list[tuple[Hyperedge, float]] = []  # (edge, 1/p factor)
         self.seen = 0
         self._draws = UniformByIndex(cfg.seed)
-        # built now, so stats() has an inverse to read before any step
-        self.sampler.sketch._grounded_inverse()
         self._shifts = 0
         self._balance_solves = 0
 
@@ -185,16 +184,15 @@ class HyperSamplerState:
         """max over clique pairs of w(e) * resistance on the sketch Gram
         matrix; infinite when a pair straddles sketch components.
 
-        Sketch rows not yet folded into the sketch's grounded inverse are
-        folded first (graph._GroundedInverse, O(n^2) each); then the
-        resistances are an O(r^2) gather and the straddle test a label
-        comparison.
+        The sketch's grounded inverse (graph._GroundedInverse) has every
+        appended row folded in, so the resistances are an O(r^2) gather and
+        the straddle test a label comparison.
         """
         inv = self.sampler.sketch._grounded_inverse()
         if inv.straddles(e.vertices):
             return math.inf
         u, v = np.array(clique_pairs(e.vertices), dtype=np.intp).T
-        return e.w * float(_resistance(inv.M, u, v).max())
+        return e.w * float(inv.resistance(u, v).max())
 
     def _decide(self, e: Hyperedge, p: float, score: float) -> HyperDecision:
         idx = self.seen
@@ -220,16 +218,11 @@ class HyperSamplerState:
 
     def stats(self) -> dict:
         """Counters of this sampler, as a plain dict: hyperedges seen and
-        kept; sketch rows folded into the grounded inverse, the folds that
-        joined two components, full refreshes, and drift, the largest
-        max |M (G + Q) - I| measured just before a refresh (0.0 before the
-        first); balancing shifts, and balancing calls that took the LU
-        solve because the clique straddled sketch components; and the inner
-        row sampler's stats() under "sampler"."""
-        inv = self.sampler.sketch._inverse
+        kept; balancing shifts, and balancing calls that took the LU solve
+        because the clique straddled sketch components; and the inner row
+        sampler's stats() under "sampler", which carries the counters of
+        the sketch's one grounded inverse."""
         return {"seen": self.seen, "kept": len(self.kept),
-                "folds": inv.folds, "joins": inv.joins,
-                "refreshes": inv.refreshes, "drift": inv.drift,
                 "shifts": self._shifts,
                 "balance_solves": self._balance_solves,
                 "sampler": self.sampler.stats()}

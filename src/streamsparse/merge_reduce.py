@@ -209,8 +209,8 @@ class StreamSparsifier:
             c = default_c(cfg.m_hint or 1024, cfg.online.eps)
         self.tree = MergeReduceTree(n, cfg.tree)
         provider = self.tree if cfg.use_tree_sketch else None
-        self.sampler = OnlineSamplerState(
-            n, c, seed=cfg.online.seed, eps=cfg.online.eps, provider=provider)
+        self.sampler = OnlineSamplerState(n, c, seed=cfg.online.seed,
+                                          provider=provider)
         self.max_resident = 0
 
     def push(self, e: WeightedEdge) -> None:

@@ -44,7 +44,7 @@ class RobustWrapperState:
         if inner is None:
             inner_eps = eps / 8.0
             inner = OnlineSamplerState(n, default_c(m_hint, inner_eps),
-                                       eps=inner_eps, seed=seed)
+                                       seed=seed)
         self.inner = inner
         # Laplacian of inner.finalize(), stamped in edge order as it grows
         self._laplacian = laplacian(inner.finalize())

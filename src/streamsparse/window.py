@@ -3,13 +3,17 @@
 New items go to the front of a raw buffer (a deque, so a push is O(1)),
 so every stored level reads most recent first. When the buffer fills,
 everything below the first empty level is run through the online hyperedge
-sampler as one synthetic stream and the result parked at that level. Because online coresets are valid on every
-prefix and the stream is reversed, any suffix window of the original stream
-can be answered by filtering stored items on their original index.
+sampler as one synthetic stream and the result parked at that level.
+Because online coresets are valid on every prefix and the stream is
+reversed, any suffix window of the original stream can be answered by the
+stored items whose original index lies in it: a prefix of the buffer
+followed by the levels, lowest first.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -115,19 +119,26 @@ class SlidingWindowState:
 
         literal_union skips index filtering and returns every stored item
         (valid for windows aligned to whole levels, larger otherwise).
+
+        The buffer and then the levels, lowest first, hold the items in
+        strictly decreasing arrival index, so the scan stops at the first
+        item older than the window, and O(window) items are read. An item
+        never reweighted is returned as the stored Hyperedge itself.
         """
         if window < 1:
             raise ValueError("window must be >= 1")
-        items = list(self.buffer)
-        for c in self.levels:
-            if c:
-                items.extend(c)
+        low = -math.inf
         if not literal_union and self.last_index is not None:
             low = self.last_index - window + 1
-            items = [it for it in items if it.index >= low]
-        items.sort(key=lambda it: it.index)
+        edges = []
+        for it in itertools.chain(self.buffer, *filter(None, self.levels)):
+            if it.index < low:
+                break
+            edges.append(it.edge if it.factor == 1.0
+                         else _rescaled(it.edge, it.factor))
+        edges.reverse()
         out = Hypergraph(self.n)
-        out.hyperedges = [_rescaled(it.edge, it.factor) for it in items]
+        out.hyperedges = edges
         return out
 
 

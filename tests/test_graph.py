@@ -10,8 +10,8 @@ from streamsparse import (DisconnectedError, Graph, IncidenceRow,
                           KernelMismatchError, SpectralSketch, WeightedEdge,
                           effective_resistance, incidence_matrix, laplacian,
                           leverage, leverages, pseudo_inverse, pseudo_solve,
-                          rayleigh_error, ridge_leverage)
-from streamsparse.graph import (_GroundedInverse, _accumulate, _columns,
+                          rayleigh_error)
+from streamsparse.graph import (_BLOCK, _GroundedInverse, _accumulate, _columns,
                                 _components, _resistance, _resistance_solve,
                                 _stamp, _unchecked_graph)
 
@@ -175,6 +175,21 @@ def same_component(labels):
     return labels[:, None] == labels[None, :]
 
 
+def assert_grounded(inv, G):
+    """The maintained inverse M - Y Y^T equals inv(G / s + Q) within 1e-9,
+    Q grounding each component at its maintained root, s the inverse's
+    scale (or any, while G is zero), and its labels partition the vertices
+    as the components of G do."""
+    n = G.shape[0]
+    assert np.array_equal(same_component(inv.labels),
+                          same_component(_components(G)))
+    assert inv.components == np.unique(inv.labels).size
+    roots = np.diag((inv.labels == np.arange(n)).astype(float))
+    want = np.linalg.inv(G / inv.s + roots) if inv.s else roots
+    got = inv.M - inv._Y @ inv._Y.T
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
 class TestGroundedInverse:
     @given(split_laplacians(), st.integers(min_value=1, max_value=4),
            st.integers(min_value=1, max_value=6))
@@ -192,17 +207,47 @@ class TestGroundedInverse:
             if k % every and k < len(edges):
                 continue
             inv.sync(sketch)
+            assert_grounded(inv, sketch.gram)
             labels = union_find_labels(n, edges[:k])
-            assert np.array_equal(same_component(inv.labels),
-                                  same_component(labels))
             inside = labels[a] == labels[b]
             want = _resistance(pseudo_inverse(sketch.gram), a, b)[inside]
-            got = _resistance(inv.M, a, b)[inside]
+            got = inv.resistance(a[inside], b[inside])
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
             assert inv.folds == k
             assert inv.joins == n - np.unique(labels).size
         if every == 1:
             assert inv.refreshes == len(edges) // refresh_every
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=-6, max_value=15))
+    @settings(max_examples=40, deadline=None)
+    def test_block_and_rebuild_at_any_scale(self, seed, decade):
+        # weights W * U(1, 2) for W = 10^decade: the inverse and the reads
+        # are scale-free; a fresh build from the Gram matrix (provider mode)
+        # reads the same resistances and blocks
+        rng = np.random.default_rng(seed)
+        n, W = 7, 10.0 ** decade
+        sketch = SpectralSketch(n)
+        inv = _GroundedInverse(n, 1000)
+        for _ in range(3 * _BLOCK):
+            u, v = (int(x) for x in rng.choice(n - 1, size=2, replace=False))
+            sketch.append(IncidenceRow(u, v, math.sqrt(W * rng.uniform(1, 2))))
+            inv.sync(sketch)
+            assert_grounded(inv, sketch.gram)
+        built = _GroundedInverse(n, 1000)
+        built.rebuild(sketch.gram)
+        assert_grounded(built, sketch.gram)
+        assert built.s == sketch.gram.diagonal().max()
+        vs = np.flatnonzero(inv.labels == inv.labels[0])
+        iu, iv = np.triu_indices(vs.size, 1)
+        Gp = pseudo_inverse(sketch.gram / W)
+        want = _resistance(Gp, vs[iu], vs[iv]) / W
+        for got in (inv.resistance(vs[iu], vs[iv]),
+                    built.resistance(vs[iu], vs[iv]),
+                    _resistance(inv.block(vs), iu, iv),
+                    _resistance(built.block(vs), iu, iv)):
+            np.testing.assert_allclose(got, want, rtol=1e-9)
+        assert inv.straddles((0, n - 1)) and built.straddles((0, n - 1))
 
     def test_refresh_records_drift(self):
         rng = np.random.default_rng(0)
@@ -301,6 +346,9 @@ class TestLeverage:
 
 
 class TestSketchAndRidge:
+    """The sketch's Gram matrix, and the ridge-free leverages the samplers
+    read from its grounded inverse."""
+
     def test_gram_matches_laplacian(self):
         rng = np.random.default_rng(3)
         g = random_connected(rng, 6)
@@ -310,25 +358,11 @@ class TestSketchAndRidge:
         assert np.allclose(sk.gram, laplacian(g))
 
     def test_identical_rows_harmonic(self):
-        # k identical unit rows: ridge-free leverage of the row is 1/k * 2/2
+        # k identical unit rows: the resistance of the pair is 1/k
         sk = SpectralSketch(2)
         for _ in range(4):
             sk.append(IncidenceRow(0, 1, 1.0))
-        assert ridge_leverage(sk, IncidenceRow(0, 1, 1.0), 0.0) == pytest.approx(0.25)
-
-    def test_lambda_monotone(self):
-        sk = SpectralSketch(3)
-        sk.append(IncidenceRow(0, 1, 1.0))
-        sk.append(IncidenceRow(1, 2, 1.0))
-        row = IncidenceRow(0, 2, 1.0)
-        vals = [ridge_leverage(sk, row, lam) for lam in (1e-6, 1e-3, 1.0)]
-        assert vals[0] > vals[1] > vals[2]
-
-    def test_zero_lambda_out_of_image_raises(self):
-        sk = SpectralSketch(3)
-        sk.append(IncidenceRow(0, 1, 1.0))
-        with pytest.raises(DisconnectedError):
-            ridge_leverage(sk, IncidenceRow(1, 2, 1.0), 0.0)
+        assert sk._grounded_inverse().resistance(0, 1) == pytest.approx(0.25)
 
 
 class TestRayleighError:
@@ -433,13 +467,6 @@ def ref_effective_resistance(L, u, v):
     return float(d @ x)
 
 
-def ref_ridge_leverage_zero_lam(G, a):
-    x = ref_pseudo_solve(G, a)
-    if np.linalg.norm(G @ x - a) > 1e-6 * np.linalg.norm(a):
-        raise DisconnectedError("outside the image")
-    return float(a @ x)
-
-
 def outcome(f, *args, **kwargs):
     """f's value, or the type of the library error it raised."""
     try:
@@ -477,14 +504,6 @@ class TestSpectralCutoff:
         for two_sided in (True, False):
             assert (outcome(rayleigh_error, L, L_hat, two_sided=two_sided)
                     == outcome(ref_rayleigh_error, L, L_hat, two_sided))
-        sketch = SpectralSketch(n)
-        for e in edges:
-            sketch.append(IncidenceRow(e.u, e.v, math.sqrt(e.w)))
         for u, v in zip(us.tolist(), vs.tolist()):
             assert (outcome(effective_resistance, g, u, v)
                     == outcome(ref_effective_resistance, L, u, v))
-            if u != v:
-                row = IncidenceRow(u, v, float(rng.uniform(0.1, 3.0)))
-                assert (outcome(ridge_leverage, sketch, row, 0.0)
-                        == outcome(ref_ridge_leverage_zero_lam, sketch.gram,
-                                   row.dense(n)))

@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamsparse import (Graph, Hyperedge, Hypergraph, HyperSamplerConfig,
-                          HyperSamplerState, IncidenceRow, associated_graph,
-                          balanced_rho, fast_rho, hyper_energy, hyper_sparsify,
-                          laplacian, pseudo_inverse, quantize_weight)
+                          HyperSamplerState, IncidenceRow, SpectralSketch,
+                          associated_graph, balanced_rho, fast_rho,
+                          hyper_energy, hyper_sparsify, laplacian,
+                          pseudo_inverse, quantize_weight)
 from streamsparse import graph, hypergraph
 from streamsparse.graph import _GroundedInverse, _components, _resistance
 from streamsparse.hypergraph import _rescaled
+
+from test_graph import assert_grounded
 
 
 def random_hypergraph(rng, n=8, m=60, r=3):
@@ -257,7 +260,7 @@ class TestSamplers:
             state.sampler.sketch.append(IncidenceRow(u, v, math.sqrt(w)))
             state._pair_scores(Hyperedge((0, 4), 1.0))
             G = state.sampler.sketch.gram
-            stats = state.stats()
+            stats = state.stats()["sampler"]
             assert stats["folds"] == len(state.sampler.sketch) == k
             assert stats["joins"] == n - np.unique(_components(G)).size
         Gp = pseudo_inverse(state.sampler.sketch.gram)
@@ -270,16 +273,23 @@ class TestSamplers:
         h = random_hypergraph(rng, m=40)
         state = HyperSamplerState(8, HyperSamplerConfig(rho=0.05, seed=2))
         assert state.stats() == {
-            "seen": 0, "kept": 0, "folds": 0, "joins": 0, "refreshes": 0,
-            "drift": 0.0, "shifts": 0, "balance_solves": 0,
-            "sampler": state.sampler.stats()}
+            "seen": 0, "kept": 0, "shifts": 0, "balance_solves": 0,
+            "sampler": {"scored": 0, "kept": 0, "folds": 0, "block_folds": 0,
+                        "joins": 0, "refreshes": 0, "drift": 0.0}}
         for e in h.hyperedges:
             state.step(e)
         stats = state.stats()
         assert stats["seen"] == 40
         assert 0 < stats["kept"] == len(state.kept) < 40
-        assert stats["folds"] == len(state.sampler.sketch)
         assert stats["sampler"] == state.sampler.stats()
+        # the one inverse the hyperedges and the rows are scored from folds
+        # every kept row once
+        rows = stats["sampler"]
+        assert rows["folds"] == rows["kept"] == len(state.sampler.sketch)
+        assert rows["scored"] == sum(e.size * (e.size - 1) // 2
+                                     for e in h.hyperedges)
+        assert rows["joins"] == 8 - np.unique(
+            _components(state.sampler.sketch.gram)).size
 
     def test_balancing_stats(self, monkeypatch):
         # shifts add up the balancing traces; an LU balancing solve happens
@@ -359,8 +369,8 @@ class TestMaintainedScores:
             G = state.sampler.sketch.gram
             labels = _components(G)
             inv = state.sampler.sketch._inverse
-            assert np.array_equal(inv.labels[:, None] == inv.labels,
-                                  labels[:, None] == labels)
+            assert inv is state.sampler._inverse
+            assert_grounded(inv, G)
             Gp = pseudo_inverse(G)
             for x, y in zip(a, b):
                 got = state._pair_scores(Hyperedge((int(x), int(y)), 1.0))
@@ -369,27 +379,35 @@ class TestMaintainedScores:
                 else:
                     assert got == pytest.approx(_resistance(Gp, x, y),
                                                 rel=1e-9, abs=1e-12)
-            stats = state.stats()
+            stats = state.stats()["sampler"]
             assert stats["folds"] == len(state.sampler.sketch)
             assert stats["joins"] == n - np.unique(labels).size
-        assert stats["refreshes"] <= stats["folds"] // refresh_every
+        assert stats["refreshes"] == stats["folds"] // refresh_every
 
     def test_balancing_and_scoring_share_one_inverse(self):
-        # the sketch's inverse folds every sketch row once, in order, bit
-        # for bit as a fresh inverse folding the same rows does
+        # rows, hyperedges and balancing all read the sketch's one inverse,
+        # which folds every sketch row once, in order, as each is kept: bit
+        # for bit as a fresh inverse syncing after every row does
         rng = np.random.default_rng(12)
         h = random_hypergraph(rng, n=10, m=300, r=4)
         state = HyperSamplerState(10, HyperSamplerConfig(
             rho=1.0, variant="balanced", m_hint=900))
+        sketch = state.sampler.sketch
         ref = _GroundedInverse(10, graph._REFRESH_EVERY)
+        mirror = SpectralSketch(10)
         for e in h.hyperedges:
             state.step(e)
-            ref.sync(state.sampler.sketch)
-        inv = state.sampler.sketch._inverse
+            for row in sketch.rows[len(mirror):]:
+                mirror.append(row)
+                ref.sync(mirror)
+        inv = sketch._inverse
+        assert inv is state.sampler._inverse
         assert inv.refreshes >= 1 and state.stats()["shifts"] > 0
         assert np.array_equal(inv.M, ref.M)
+        assert np.array_equal(inv._Y, ref._Y)
         assert np.array_equal(inv.labels, ref.labels)
-        assert (inv.folds, inv.joins) == (ref.folds, ref.joins)
+        assert inv.stats() == ref.stats()
+        assert_grounded(inv, sketch.gram)
 
     def test_refreshes_on_a_long_stream(self):
         rng = np.random.default_rng(11)
@@ -399,7 +417,7 @@ class TestMaintainedScores:
                 rho=1.0, variant=variant, m_hint=1800))
             for e in h.hyperedges:
                 state.step(e)
-            stats = state.stats()
+            stats = state.stats()["sampler"]
             assert stats["folds"] >= graph._REFRESH_EVERY
             assert stats["refreshes"] >= 1
             assert 0 < stats["drift"] < 1e-9

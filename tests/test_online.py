@@ -1,4 +1,4 @@
-"""Online ridge-leverage sampling and its exact oracles."""
+"""Online leverage sampling from the grounded inverse, and its exact oracles."""
 
 import math
 
@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamsparse import (Graph, IncidenceRow, OnlineConfig,
+from streamsparse import (Graph, Hyperedge, HyperSamplerConfig,
+                          HyperSamplerState, IncidenceRow, OnlineConfig,
                           OnlineSamplerState, StreamPipelineConfig,
                           StreamSparsifier, TreeConfig, WeightedEdge,
                           default_c, exact_online_leverages, laplacian,
-                          leverages, online_sparsify, rayleigh_error)
+                          leverages, online_sparsify, pseudo_inverse,
+                          rayleigh_error, stream_sparsify)
 from streamsparse.bench import gen_synthetic
-from streamsparse.online import _BLOCK, _REFRESH_EVERY
+from streamsparse.graph import (_BLOCK, _REFRESH_EVERY, _components,
+                                _resistance, _stamp)
 
-from test_graph import random_connected
+from test_graph import assert_grounded, random_connected
 
 
 class TestExactOnlineLeverages:
@@ -43,23 +46,30 @@ class TestExactOnlineLeverages:
 
 
 class TestSamplerMechanics:
-    def test_score_matches_ridge_formula(self):
-        state = OnlineSamplerState(4, c=5.0, lam=0.1)
+    def test_score_matches_grounded_formula(self):
+        # a row inside a sketch component scores scale^2 d^T G^+ d; a row
+        # joining two components scores inf and is kept with p = 1
+        state = OnlineSamplerState(5, c=2.0, seed=3)
         rows = [IncidenceRow(0, 1, 1.0), IncidenceRow(1, 2, 1.5),
-                IncidenceRow(2, 3, 0.7)]
-        G = np.zeros((4, 4))
+                IncidenceRow(0, 2, 0.7), IncidenceRow(3, 4, 2.0),
+                IncidenceRow(0, 1, 0.3), IncidenceRow(2, 0, 1.1),
+                IncidenceRow(1, 2, 0.2), IncidenceRow(2, 3, 1.0),
+                IncidenceRow(4, 0, 0.5), IncidenceRow(1, 3, 0.4)]
+        G = np.zeros((5, 5))
         for r in rows:
             got = state.score(r)
-            a = r.dense(4)
-            want = a @ np.linalg.solve(G + 0.1 * np.eye(4), a)
-            assert got == pytest.approx(want, rel=1e-8)
+            labels = _components(G)
+            if labels[r.u] != labels[r.v]:
+                assert got == math.inf
+            else:
+                want = r.scale ** 2 * _resistance(pseudo_inverse(G), r.u, r.v)
+                assert got == pytest.approx(want, rel=1e-9)
             kept, rw = state.process_row(r)
-            assert kept    # scores here are large enough to clamp p to 1
-            w = rw.scale ** 2
-            G[r.u, r.u] += w
-            G[r.v, r.v] += w
-            G[r.u, r.v] -= w
-            G[r.v, r.u] -= w
+            assert kept or got < math.inf
+            if kept:
+                _stamp(G, r.u, r.v, rw.scale ** 2)
+                assert_grounded(state._inverse, G)
+        assert state.kept_count < len(rows)
 
     def test_rejects_out_of_range_before_any_change(self):
         g = gen_synthetic(6, 40, seed=2)
@@ -89,7 +99,7 @@ class TestSamplerMechanics:
         assert state.stats() == fresh.stats()
 
     def test_kept_edges_reweighted(self):
-        state = OnlineSamplerState(3, c=1e9, lam=1.0)
+        state = OnlineSamplerState(3, c=1e9)
         state.process_edge(WeightedEdge(0, 1, 2.0))
         (e,) = state.kept_edges
         assert e.w == pytest.approx(2.0)   # p clamped to 1, weight unchanged
@@ -150,30 +160,24 @@ class TestProviderMode:
             def gram(self):
                 return self._G
 
-        g = gen_synthetic(8, 60, seed=3)
-        G = laplacian(g)
-        state = OnlineSamplerState(8, c=2.0, lam=0.5, provider=FixedProvider(G))
-        row = IncidenceRow(0, 1, 1.0)
-        a = row.dense(8)
-        want = a @ np.linalg.solve(G + 0.5 * np.eye(8), a)
-        assert state.score(row) == pytest.approx(want, rel=1e-8)
+        # two components: {0..5} and the pair {6, 7}
+        g = gen_synthetic(6, 60, seed=3)
+        G = laplacian(Graph(8, g.edges + [WeightedEdge(6, 7, 2.5)]))
+        state = OnlineSamplerState(8, c=2.0, provider=FixedProvider(G))
+        Gp = pseudo_inverse(G)
+        for u, v in ((0, 1), (2, 5), (6, 7)):
+            want = 1.5 * _resistance(Gp, u, v)
+            got = state.score(IncidenceRow(u, v, math.sqrt(1.5)))
+            assert got == pytest.approx(want, rel=1e-9)
+        assert state.score(IncidenceRow(0, 7, 1.0)) == math.inf
+        assert_grounded(state._inverse, G)
+        assert state.stats()["refreshes"] == 1
 
 
-def _assert_inverse_exact(state):
-    """The maintained inverse (K0 minus the pending block) equals a dense
-    inverse of the scoring Gram matrix plus lam I."""
-    want = np.linalg.inv(state._scoring_gram() + state.lam * np.eye(state.n))
-    got = state._effective_inverse()
-    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
-
-
-def _shrinking_stream(seed, n, head, tail):
-    """head + tail edges with weights U(1, 10), except that edge `head`
-    weighs 1/2, so a free lambda shrinks there and not after it."""
+def _stream(seed, n, m):
+    """m edges over n vertices with weights U(1, 10)."""
     rng = np.random.default_rng(seed)
-    m = head + tail
     w = rng.uniform(1.0, 10.0, m)
-    w[head] = 0.5
     u = rng.integers(0, n, m)
     v = (u + rng.integers(1, n, m)) % n
     return [WeightedEdge(int(a), int(b), float(x)) for a, b, x in zip(u, v, w)]
@@ -181,16 +185,15 @@ def _shrinking_stream(seed, n, head, tail):
 
 class TestBlockedInverse:
     @given(st.integers(min_value=0, max_value=2**32 - 1),
-           st.integers(min_value=_BLOCK + 1, max_value=2 * _BLOCK),
-           st.integers(min_value=2 * _BLOCK + 1, max_value=3 * _BLOCK + 5))
+           st.integers(min_value=3 * _BLOCK + 1, max_value=5 * _BLOCK))
     @settings(max_examples=25, deadline=None)
-    def test_self_sketch(self, seed, head, tail):
+    def test_self_sketch(self, seed, m):
         state = OnlineSamplerState(7, c=1e9, seed=seed)    # keeps every row
-        for e in _shrinking_stream(seed, 7, head, tail):
+        for e in _stream(seed, 7, m):
             state.process_edge(e)
-            _assert_inverse_exact(state)
+            assert_grounded(state._inverse, state.sketch.gram)
         s = state.stats()
-        assert s["lambda_shrinks"] >= 2 and s["block_folds"] >= 2
+        assert s["folds"] == s["kept"] == m and s["block_folds"] >= 2
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=2 * _BLOCK + 1, max_value=3 * _BLOCK))
@@ -200,36 +203,40 @@ class TestBlockedInverse:
             online=OnlineConfig(c=1e9, seed=seed),
             tree=TreeConfig(block_size=block, seed=seed), use_tree_sketch=True)
         pipe = StreamSparsifier(7, cfg)
-        for e in _shrinking_stream(seed, 7, block + 3, 2 * block):
+        for e in _stream(seed, 7, 3 * block + 3):
             merges = pipe.tree.merges
             pipe.push(e)
-            # a merging push drops the inverse; any other one folds its row
+            # a merging push marks the inverse for a rebuild; any other one
+            # folds its row
             if pipe.tree.merges > merges:
-                assert pipe.sampler._inv is None
+                assert pipe.sampler._stale
             else:
-                _assert_inverse_exact(pipe.sampler)
+                assert not pipe.sampler._stale
+                assert_grounded(pipe.sampler._inverse, pipe.tree.gram())
         s = pipe.sampler.stats()
-        assert s["lambda_shrinks"] >= 2 and s["block_folds"] >= 2
-        assert pipe.tree.merges >= 1
+        assert s["block_folds"] >= 2 and pipe.tree.merges >= 1
 
 
 class TestStats:
     def test_self_sketch_counters_add_up(self):
-        g = gen_synthetic(10, 3000, seed=3)
-        state = OnlineSamplerState(10, c=40.0, lam=0.05, seed=1)
+        # a spanning path of _BLOCK joins first, then rows inside the one
+        # component; a refresh follows every _REFRESH_EVERY-th fold and
+        # clears the block, which _REFRESH_EVERY - _BLOCK leaves aligned
+        n = _BLOCK + 1
+        g = Graph(n, [WeightedEdge(i, i + 1, 2.0) for i in range(n - 1)]
+                  + gen_synthetic(n, 3000, seed=3).edges)
+        state = OnlineSamplerState(n, c=20.0, seed=1)
         for e in g.edges:
             state.process_edge(e)
         s = state.stats()
         assert s["scored"] == g.m
-        assert s["folds"] == s["kept"] == state.kept_count
+        assert s["folds"] == s["kept"] == len(state.sketch)
         assert _REFRESH_EVERY < s["kept"] < g.m
-        assert s["lambda_shrinks"] == 0
-        # with lambda fixed nothing interrupts the folds: a refresh replaces
-        # every _REFRESH_EVERY-th fold and a GEMM every other full block
-        assert s["refreshes"] == 1 + s["folds"] // _REFRESH_EVERY
-        assert s["block_folds"] == (s["folds"] // _BLOCK
-                                    - s["folds"] // _REFRESH_EVERY)
+        assert s["joins"] == n - 1
+        assert s["refreshes"] == s["folds"] // _REFRESH_EVERY
+        assert s["block_folds"] == (s["folds"] - s["joins"]) // _BLOCK
         assert 0.0 < s["drift"] < 1e-8
+        assert_grounded(state._inverse, state.sketch.gram)
 
     def test_provider_counters_add_up(self):
         g = gen_synthetic(20, 3000, seed=4)
@@ -243,10 +250,83 @@ class TestStats:
         assert s["scored"] == g.m
         assert s["kept"] <= g.m and t["pushed"] == s["kept"]
         # every kept row folds in at its push, except where the carry merged
-        # (every other carry), which drops the inverse instead
+        # (every other carry), which marks the inverse for a rebuild instead
         assert s["folds"] == t["pushed"] - t["carries"] // 2
-        assert s["drift"] == 0.0 or s["folds"] >= _REFRESH_EVERY
-        # one Gram build up front and one after each carry that merged
+        # every rebuild reads a freshly built Gram matrix: one up front and
+        # one after each carry that merged; no stretch between merges is
+        # long enough for a periodic refresh
+        assert s["refreshes"] == t["gram_builds"] == 1 + (t["pushed"] // 100) // 2
+        assert s["drift"] == 0.0
         assert t["merges"] == pipe.tree.merges > 0
-        assert t["gram_builds"] == 1 + (t["pushed"] // 100) // 2
         assert t["resident"] == pipe.tree.resident() <= t["peak_resident"]
+
+
+class TestScaleFree:
+    """Scores are read from an inverse grounded at the Gram matrix's own
+    scale, so multiplying every weight by 10^k keeps the same items with
+    the same probabilities."""
+
+    @staticmethod
+    def _scaled(g, k):
+        return Graph(g.n, [WeightedEdge(u, v, w * 10.0 ** k)
+                           for u, v, w in g.edges])
+
+    @staticmethod
+    def _assert_same_sample(got, want, k):
+        # kept weight = w / p: same items, and p within rel 1e-9
+        assert [(u, v) for u, v, _ in got] == [(u, v) for u, v, _ in want]
+        np.testing.assert_allclose([w for _, _, w in got],
+                                   [w * 10.0 ** k for _, _, w in want],
+                                   rtol=1e-9)
+
+    @given(st.integers(min_value=0, max_value=2**16),
+           st.integers(min_value=-6, max_value=15))
+    @settings(max_examples=20, deadline=None)
+    def test_online_sparsify(self, seed, k):
+        g = gen_synthetic(12, 300, seed=seed)
+        want = online_sparsify(g, c=1.0, seed=seed)
+        assert want.m < g.m
+        got = online_sparsify(self._scaled(g, k), c=1.0, seed=seed)
+        self._assert_same_sample(got.edges, want.edges, k)
+
+    @given(st.integers(min_value=0, max_value=2**16),
+           st.integers(min_value=-6, max_value=15))
+    @settings(max_examples=10, deadline=None)
+    def test_stream_sparsify_on_the_tower_sketch(self, seed, k):
+        g = gen_synthetic(12, 600, seed=seed)
+        cfg = StreamPipelineConfig(
+            online=OnlineConfig(c=1.0, seed=seed),
+            tree=TreeConfig(block_size=64, seed=seed), use_tree_sketch=True)
+        want = stream_sparsify(g, cfg)
+        got = stream_sparsify(self._scaled(g, k), cfg)
+        self._assert_same_sample(got.edges, want.edges, k)
+
+    @given(st.integers(min_value=0, max_value=2**16),
+           st.integers(min_value=-6, max_value=15),
+           st.sampled_from(("fast", "balanced")))
+    @settings(max_examples=20, deadline=None)
+    def test_hyper_sampler(self, seed, k, variant):
+        rng = np.random.default_rng(seed)
+        stream = [Hyperedge(tuple(int(x) for x in rng.choice(
+                      10, size=int(rng.integers(2, 5)), replace=False)),
+                            float(rng.uniform(1.0, 10.0)))
+                  for _ in range(60)]
+        cfg = HyperSamplerConfig(rho=0.3, variant=variant, c=1.0, seed=seed)
+        want = HyperSamplerState(10, cfg)
+        got = HyperSamplerState(10, cfg)
+        for e in stream:
+            a = want.step(e)
+            b = got.step(Hyperedge(e.vertices, e.w * 10.0 ** k))
+            assert a.kept == b.kept
+            assert b.p == pytest.approx(a.p, rel=1e-9)
+        assert [e.vertices for e in got.sparsifier().hyperedges] == \
+               [e.vertices for e in want.sparsifier().hyperedges]
+
+    def test_heavy_edge_is_kept_with_p_one(self):
+        state = OnlineSamplerState(3, c=0.01)
+        kept, out = state.process_edge(WeightedEdge(0, 1, 1e17))
+        assert kept and state.last_p == 1.0 and out.w == 1e17
+        # against the sketch of that one edge, a parallel copy scores
+        # w * (1 / w) = 1 at that scale too
+        assert state.score(IncidenceRow(0, 1, math.sqrt(1e17))) == \
+               pytest.approx(1.0, rel=1e-12)

@@ -16,7 +16,7 @@ from streamsparse.bench import gen_synthetic
 def keep_all_state(n, eps, m_hint=1024):
     """Inner sampler with huge c so every edge is kept (p clamps to 1)."""
     from streamsparse import OnlineSamplerState
-    inner = OnlineSamplerState(n, c=1e12, eps=eps / 8, lam=1e-9)
+    inner = OnlineSamplerState(n, c=1e12)
     return RobustWrapperState(n, eps, m_hint=m_hint, inner=inner)
 
 
@@ -90,8 +90,8 @@ class TestSkipWhenNothingKept:
         n, eps = 8, 0.5
         g = gen_synthetic(n, 200, seed=11)
         state = RobustWrapperState(
-            n, eps, inner=OnlineSamplerState(n, c=0.3, eps=eps / 8, seed=5))
-        ref_inner = OnlineSamplerState(n, c=0.3, eps=eps / 8, seed=5)
+            n, eps, inner=OnlineSamplerState(n, c=0.3, seed=5))
+        ref_inner = OnlineSamplerState(n, c=0.3, seed=5)
         gate = RobustWrapperState(n, eps)   # holds the reference baseline
         exposed, switches, skipped = Graph(n, []), 0, 0
         for e in g.edges:
@@ -112,7 +112,7 @@ class TestStats:
     def test_counters_add_up(self):
         n, eps = 8, 0.5
         state = RobustWrapperState(
-            n, eps, inner=OnlineSamplerState(n, c=0.3, eps=eps / 8, seed=5))
+            n, eps, inner=OnlineSamplerState(n, c=0.3, seed=5))
         for e in gen_synthetic(n, 200, seed=11).edges:
             state.step(e)
         s = state.stats()
@@ -150,7 +150,7 @@ class TestMaintainedLaplacian:
         # Laplacian the gate reads is bit-identical to a rebuilt one
         n, eps = 8, 0.5
         g = gen_synthetic(n, 200, seed=12)
-        inner = OnlineSamplerState(n, c=c, eps=eps / 8, seed=6)
+        inner = OnlineSamplerState(n, c=c, seed=6)
         for e in g.edges[:fed]:
             inner.process_edge(e)
         state = RobustWrapperState(n, eps, inner=inner)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamsparse import (Hyperedge, Hypergraph, SlidingWindowConfig,
                           SlidingWindowState, hyper_energy, sw_push, sw_query)
+from streamsparse.hypergraph import _rescaled
 
 
 def random_stream(rng, n=8, m=200, r=3):
@@ -165,3 +167,66 @@ class TestSampledQueries:
         for e in stream:
             sw_push(st, e)
         assert st.stored() < 400
+
+
+def reference_query(state, window, literal_union=False):
+    """The query as a filter over every stored item, a sort on the arrival
+    index and a rescale of every item."""
+    items = list(state.buffer)
+    for c in state.levels:
+        if c:
+            items.extend(c)
+    if not literal_union and state.last_index is not None:
+        low = state.last_index - window + 1
+        items = [it for it in items if it.index >= low]
+    items.sort(key=lambda it: it.index)
+    return [_rescaled(it.edge, it.factor) for it in items]
+
+
+@st.composite
+def window_runs(draw):
+    """(n, cfg, stream of (hyperedge, gap to the previous index), queries):
+    a small block, so pushes carry through several levels, a sampled or an
+    identity coreset, and windows from 1 to past the stream's span."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    size = st.integers(min_value=2, max_value=min(3, n))
+    verts = size.flatmap(lambda k: st.lists(
+        st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k,
+        unique=True))
+    edge = st.builds(Hyperedge, verts.map(tuple),
+                     st.floats(min_value=0.1, max_value=10.0))
+    stream = draw(st.lists(st.tuples(edge, st.integers(1, 4)), max_size=80))
+    cfg = SlidingWindowConfig(
+        block_size=draw(st.integers(min_value=1, max_value=6)),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        rho=draw(st.sampled_from((None, 0.05, 0.5))),
+        identity_coreset=draw(st.booleans()))
+    queries = draw(st.lists(st.tuples(st.integers(1, 400), st.booleans()),
+                            min_size=1, max_size=4))
+    return n, cfg, stream, queries
+
+
+class TestQueryScan:
+    @staticmethod
+    def _assert_as_reference(state, window, literal):
+        got = state.query(window, literal).hyperedges
+        want = reference_query(state, window, literal)
+        assert [(e.vertices, e.w.hex()) for e in got] == \
+               [(e.vertices, e.w.hex()) for e in want]
+
+    @given(window_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_filter_sort_rescale(self, case):
+        # stopping at the first item older than the window returns the same
+        # hyperedges, weights bit for bit, as filtering everything stored
+        n, cfg, stream, queries = case
+        state = SlidingWindowState(n, cfg)
+        t = -1
+        for k, (e, gap) in enumerate(stream):
+            t += gap
+            state.push(e, t)
+            if k % 7 == 0:
+                for window, literal in queries:
+                    self._assert_as_reference(state, window, literal)
+        for window, literal in queries:
+            self._assert_as_reference(state, window, literal)
