@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .graph import (Graph, SpectralSketch, WeightedEdge, _accumulate,
-                    _resistance, _resistance_solve, laplacian)
+from .graph import (Graph, SpectralSketch, WeightedEdge, _components,
+                    _grounded_inverse_of, _resistance, laplacian)
 
 if TYPE_CHECKING:
     from .hypergraph import Hyperedge
@@ -51,7 +51,6 @@ class WeightAssignment:
     pairs: list[tuple[int, int]]
     z: np.ndarray
     trace: list[np.ndarray] = field(default_factory=list)  # z after each shift
-    _lu_base: bool = False   # ratios read by LU solves of the Gram matrix
 
     def as_dict(self) -> dict[tuple[int, int], float]:
         return {p: float(zi) for p, zi in zip(self.pairs, self.z)}
@@ -62,68 +61,76 @@ def clique_pairs(vertices) -> list[tuple[int, int]]:
 
 
 class _CliqueBlock(NamedTuple):
-    """The r x r block S of (G + s Q)^{-1}, read from a sketch's grounded
-    inverse (graph._GroundedInverse.block) on the sorted vertices vs of a
-    clique that lies in one sketch component, and the local indices
-    (iu, iv) into vs of the clique's pairs."""
+    """A clique's ratio base on T, its sorted vertices then the dropped
+    roots outside it: T's block S of (G + s Q)^{-1}, ground (-s at each
+    dropped root, else 0), the pairs' indices (iu, iv) into T, and the
+    split pairs, whose endpoints stay in different components."""
 
     S: np.ndarray
+    ground: np.ndarray
     iu: np.ndarray
     iv: np.ndarray
+    split: np.ndarray
 
 
-def _ratio_base(sketch: SpectralSketch | np.ndarray,
-                e: "Hyperedge") -> _CliqueBlock | np.ndarray:
-    """What the shift loop reads the ratios of e's clique from: for a
-    SpectralSketch with the whole clique in one component, the clique's
-    block of the sketch's grounded inverse; otherwise the Gram matrix."""
-    if not isinstance(sketch, SpectralSketch):
-        return np.asarray(sketch)
-    inv = sketch._grounded_inverse()
-    if inv.straddles(e.vertices):
-        return sketch.gram
+def _ratio_base(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
+                z: np.ndarray) -> _CliqueBlock:
+    """The _CliqueBlock of e's clique at weights z, on the sketch's own
+    grounded inverse or a one-off one of a Gram matrix passed as an array.
+
+    The sketch components the clique touches, joined by the pairs with
+    z > 0, form groups: the components of K = G + sum z_uv d_uv d_uv^T
+    that hold clique vertices. A group keeps the root of its first vertex
+    and drops its other roots, so Q' grounds each component of K once.
+    """
+    inv = (sketch._grounded_inverse() if isinstance(sketch, SpectralSketch)
+           else _grounded_inverse_of(np.asarray(sketch, dtype=float)))
     vs = np.array(e.vertices)
     iu, iv = np.array(clique_pairs(range(vs.size)), dtype=np.intp).T
-    return _CliqueBlock(inv.block(vs), iu, iv)
+    T, dropped, split = vs, np.zeros(vs.size, bool), np.zeros(iu.size, bool)
+    if inv.straddles(vs):
+        roots = inv.labels[vs]
+        linked = roots[:, None] == roots[None, :]
+        pos = z > 0
+        linked[iu[pos], iv[pos]] = linked[iv[pos], iu[pos]] = True
+        group = _components(linked)       # smallest local index per group
+        split = group[iu] != group[iv]
+        drop = np.unique(roots[roots != roots[group]])
+        T = np.concatenate((vs, drop[~np.isin(drop, vs)]))
+        dropped = np.isin(T, drop)
+    S, s = inv.block(T, e.w)    # before the first sketch row, w(e) grounds G = 0
+    return _CliqueBlock(S, np.where(dropped, -s, 0.0), iu, iv, split)
 
 
-def _pair_ratios(base: _CliqueBlock | np.ndarray,
-                 pairs: list[tuple[int, int]], z: np.ndarray) -> np.ndarray:
-    """q_uv = d_uv^T K^+ d_uv on the z-augmented Gram matrix
-    K = G + sum z_uv d_uv d_uv^T.
+def _pair_ratios(base: _CliqueBlock, z: np.ndarray) -> np.ndarray:
+    """q_uv = d_uv^T K^+ d_uv on K = G + sum z_uv d_uv d_uv^T, the ratio
+    tau/z of a pair for any z (so also at z = 0); inf for a split pair,
+    the limit z -> 0+ of a pair joining two components.
 
-    The ratio tau/z of a pair equals this quadratic form for any z, which
-    also covers pairs currently at z = 0.
-
-    From a _CliqueBlock: K has the components of G, so the grounding s Q
-    of (G + s Q)^{-1} still holds for K, and with L_z the clique's
-    z-weighted Laplacian on its r vertices the r x r block of
-    (K + s Q)^{-1} is B = (I + S L_z)^{-1} S, an O(r^3) solve. From a Gram
-    matrix G: one solve of K plus the projector onto its kernel, on the
-    clique's vertex columns (graph._resistance_solve); a pair straddling
-    components of K gets the pseudo-inverse value K^+_uu + K^+_vv.
+    With C = L_z + diag(ground), L_z the clique's z-weighted Laplacian on
+    T, B = (I + S C)^{-1} S is T's block of (K + s Q')^{-1} (Woodbury), an
+    O(|T|^3) solve; the ratios are resistances read from B.
     """
-    if isinstance(base, _CliqueBlock):
-        S, iu, iv = base
-        r = len(S)
-        W = np.zeros((r, r))
-        W[iu, iv] = z
-        W += W.T
-        L = np.diag(W.sum(axis=1)) - W
-        return _resistance(np.linalg.solve(np.eye(r) + S @ L, S), iu, iv)
-    u, v = np.array(pairs, dtype=np.intp).T
-    K = _accumulate(base.copy(), u, v, z)
-    return _resistance_solve(K, u, v)[0]
+    S, ground, iu, iv, split = base
+    r = len(S)
+    W = np.zeros((r, r))
+    W[iu, iv] = z
+    W += W.T
+    C = np.diag(W.sum(axis=1) + ground) - W
+    q = _resistance(np.linalg.solve(np.eye(r) + S @ C, S), iu, iv)
+    q[split] = np.inf
+    return q
 
 
 def is_balanced(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
                 z: np.ndarray | dict, gamma: float) -> bool:
-    """gamma * min over positive-weight pairs of the ratio >= max over all."""
-    base = sketch.gram if isinstance(sketch, SpectralSketch) else np.asarray(sketch)
+    """gamma * min over positive-weight pairs of the ratio >= max over all.
+    A z whose positive pairs split the clique across components of the
+    augmented Gram matrix has an infinite ratio, so is not balanced."""
     pairs = clique_pairs(e.vertices)
     if isinstance(z, dict):
         z = np.array([z[p] for p in pairs])
-    q = _pair_ratios(base, pairs, z)
+    q = _pair_ratios(_ratio_base(sketch, e, z), z)
     positive = z > 0
     if not positive.any():
         return False
@@ -137,11 +144,10 @@ def get_weight_assignment(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
     Donor and recipient are the lowest-index pairs whose ratios lie within
     relative _TIE_RTOL of the smallest positive-weight and the largest ratio.
 
-    On a SpectralSketch that holds the whole clique in one component, every
-    shift reads the ratios from the clique's r x r block of the sketch's
-    grounded inverse by an r x r solve; a clique straddling components, or a
-    Gram matrix passed as an array, takes an LU solve of the n x n augmented
-    Gram matrix, and the assignment records that in _lu_base.
+    Every shift reads the ratios from one small solve (_pair_ratios) on a
+    base taken once: the first z is positive on every pair, and no shift
+    splits the clique, since a donor that were a bridge would have ratio
+    1/z_d and lam <= (gamma - 1) / (2 gamma q_max) < z_d.
 
     The shift amount is capped by the donor's remaining weight (keeps all
     weights non-negative and conserves the total); set literal_recipient_cap
@@ -150,12 +156,11 @@ def get_weight_assignment(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
     pairs = clique_pairs(e.vertices)
     if len(pairs) == 1:
         return WeightAssignment(pairs, np.array([e.w]))
-    base = _ratio_base(sketch, e)
     z = np.full(len(pairs), e.w / len(pairs))
-    out = WeightAssignment(pairs, z, trace=[z.copy()],
-                           _lu_base=not isinstance(base, _CliqueBlock))
+    base = _ratio_base(sketch, e, z)
+    out = WeightAssignment(pairs, z, trace=[z.copy()])
     for _ in range(10_000 * len(pairs)):
-        q = _pair_ratios(base, pairs, z)
+        q = _pair_ratios(base, z)
         q_pos = np.where(z > 0, q, np.inf)
         # among ratios tied with the extreme up to rounding, the lowest
         # pair index wins, so ulp noise in the solve cannot pick the pair

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (Graph, KernelMismatchError, WeightedEdge, _accumulate,
-                    _columns, _resistance_solve, laplacian, rayleigh_error)
+                    _columns, _grounded_inverse_of, laplacian,
+                    rayleigh_error)
 from .io import load_snap
 from .merge_reduce import (MergeReduceTree, OnlineConfig, StreamPipelineConfig,
                            StreamSparsifier, TreeConfig)
@@ -127,8 +128,8 @@ def batch_online_leverages(g: Graph, batch_size: int = 100) -> np.ndarray:
     """Leverage of each edge against the exact Laplacian of the prefix up to
     the previous batch boundary; inf when the endpoints are not yet
     connected there (forcing p = 1). Each boundary reads the batch's
-    resistances and the pairs that straddle components from one solve on
-    the prefix Laplacian (graph._resistance_solve)."""
+    resistances and component labels from one grounded inverse of the
+    prefix Laplacian (graph._grounded_inverse_of)."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     out = np.full(g.m, math.inf)
@@ -136,8 +137,10 @@ def batch_online_leverages(g: Graph, batch_size: int = 100) -> np.ndarray:
     for start in range(0, g.m, batch_size):
         u, v, w = _columns(g.edges[start:start + batch_size])
         if start:
-            R, cross = _resistance_solve(L, u, v)
-            out[start:start + u.size] = np.where(cross, math.inf, w * R)
+            inv = _grounded_inverse_of(L)
+            R = np.where(inv.labels[u] != inv.labels[v], math.inf,
+                         inv.resistance(u, v))
+            out[start:start + u.size] = w * R
         _accumulate(L, u, v, w)
     return out
 

@@ -29,6 +29,16 @@ class IncidenceRow(NamedTuple):
     scale: float
 
 
+def _check_row(row: IncidenceRow, n: int) -> None:
+    """Raise ValueError unless row has distinct endpoints in [0, n) and a
+    scale in (0, inf)."""
+    u, v, scale = row
+    if not (0 <= u < n and 0 <= v < n and u != v):
+        raise ValueError(f"row {row} is a self-loop or out of range for n={n}")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"row {row} needs a positive finite scale")
+
+
 @dataclass
 class Graph:
     """Weighted multigraph; edge order is stream arrival order."""
@@ -135,37 +145,6 @@ def _components(G: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _resistance_solve(G: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """d_uv^T G^+ d_uv for index arrays u, v on the Laplacian G, without an
-    eigendecomposition, and a mask of the pairs that straddle components.
-
-    P = sum_k 1_Ck 1_Ck^T / |Ck| projects onto ker G, so G + P is
-    nonsingular and G^+ = (G + P)^{-1} - P. One solve on the distinct
-    endpoint columns gives every entry the gather reads. d_uv^T P d_uv is
-    0 inside a component; a straddling pair gets the pseudo-inverse value
-    G^+_uu + G^+_vv, since G^+_uv = 0.
-
-    The solve runs on G / s, s the largest diagonal entry, and the result
-    is divided by s. G / s has eigenvalues at most 2, so in
-    (G / s + P)^{-1} = (G / s)^+ + P the entries of P never swamp those
-    of (G / s)^+, whatever the scale of the weights.
-    """
-    n = G.shape[0]
-    labels = _components(G)
-    size = np.bincount(labels)[labels]
-    s = G.diagonal().max(initial=0.0) or 1.0
-    P = (labels[:, None] == labels[None, :]) / size[:, None]
-    used = np.zeros(n, dtype=bool)
-    used[u] = used[v] = True
-    cols, at = np.flatnonzero(used), np.cumsum(used) - 1
-    E = np.zeros((n, cols.size))
-    E[cols, np.arange(cols.size)] = 1.0
-    K = np.linalg.solve(G / s + P, E)[cols]
-    cross = labels[u] != labels[v]
-    R = _resistance(K, at[u], at[v]) - cross * (1.0 / size[u] + 1.0 / size[v])
-    return R / s, cross
-
-
 _REFRESH_EVERY = 512   # folds between full refreshes of a maintained inverse
 _BLOCK = 32            # pending rank-1 terms folded into M by one GEMM
 
@@ -176,11 +155,16 @@ class _GroundedInverse:
     component labels (each vertex's root; roots label themselves) and
     their count, and a scale s. For u, v in one component, d_uv^T K d_uv = s d_uv^T G^+ d_uv.
 
+    This is the one place a Laplacian is grounded: the row sampler, hyperedge
+    scoring, balancing, the reductions and the batch scores all read their
+    resistances from one of these (a one-off one from _grounded_inverse_of
+    when there is no stream to follow).
+
     The scale keeps the grounding next to the Gram's own entries: s is the
     first fold's weight, and is re-taken as the largest diagonal entry of G
     at every refresh and every build from a Gram matrix. G / s then has
     eigenvalues of order 1 or less, so Q never swamps them, whatever the
-    unit of the weights (the rule of _resistance_solve).
+    unit of the weights.
 
     K is kept as M - Y Y^T, Y an n x _BLOCK block of pending rank-1 terms
     (delayed Sherman-Morrison). A fold of t d d^T inside a component
@@ -220,18 +204,22 @@ class _GroundedInverse:
 
     def resistance(self, u, v):
         """d_uv^T G^+ d_uv for scalar or index-array endpoints, each pair
-        inside one component: the gather of M minus |Y_u - Y_v|^2, over s."""
+        inside one component: the gather of M minus |Y_u - Y_v|^2, over s.
+        While G = 0 the scale is unset and K = I, so u == v reads 0."""
         r = _resistance(self.M, u, v)
         if self._pending:
             dy = self._Y[u] - self._Y[v]
             r = r - (dy @ dy if dy.ndim == 1 else (dy * dy).sum(axis=1))
-        return r / self.s
+        return r / self.s if self.s else r
 
-    def block(self, vs: np.ndarray) -> np.ndarray:
-        """The vs x vs block of (G + s Q)^{-1} = K / s, for vertices vs of
-        one component; pairs in it read their G^+ resistances."""
+    def block(self, vs: np.ndarray, unset_scale: float) -> tuple[np.ndarray, float]:
+        """(S, s): S the vs x vs block of (G + s Q)^{-1} = K / s, s the
+        inverse's scale, or unset_scale while G = 0 (then K = I). S is
+        block diagonal, exactly zero across components; a pair inside one
+        component reads its G^+ resistance from it."""
+        s = self.s or unset_scale
         Yv = self._Y[vs, :self._pending]
-        return (self.M[vs[:, None], vs] - Yv @ Yv.T) / self.s
+        return (self.M[vs[:, None], vs] - Yv @ Yv.T) / s, s
 
     def stats(self) -> dict:
         """Rank-1 folds, block folds (one GEMM each, a full block or the
@@ -329,6 +317,14 @@ class _GroundedInverse:
         self.refreshes += 1
 
 
+def _grounded_inverse_of(G: np.ndarray) -> _GroundedInverse:
+    """A one-off grounded inverse of the Gram matrix G: labels read from
+    G's nonzero pattern, s its largest diagonal entry."""
+    inv = _GroundedInverse(len(G), _REFRESH_EVERY)
+    inv.rebuild(G)
+    return inv
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Dense weighted Laplacian; multi-edges add up."""
     return _accumulate(np.zeros((g.n, g.n)), *_columns(g.edges))
@@ -415,7 +411,7 @@ def leverage(g: Graph, e: WeightedEdge) -> float:
 def leverages(g: Graph) -> np.ndarray:
     """Leverage scores of all edges against the full graph, from one
     eigendecomposition (pseudo_inverse). The reference oracle: the
-    reductions and the batch scores read _resistance_solve instead."""
+    reductions and the batch scores read a grounded inverse instead."""
     if g.m == 0:
         return np.zeros(0)
     Lp = pseudo_inverse(laplacian(g))
@@ -445,8 +441,9 @@ class SpectralSketch:
         return self._inverse
 
     def append(self, row: IncidenceRow) -> None:
-        if row.scale <= 0:
-            raise ValueError("row scale must be positive")
+        """Add row to the sketch. A self-loop, an endpoint outside [0, n)
+        or a scale outside (0, inf) raises ValueError before any change."""
+        _check_row(row, self.n)
         self.rows.append(row)
         u, v, s = row
         _stamp(self._gram, u, v, s * s)

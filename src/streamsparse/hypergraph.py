@@ -9,7 +9,8 @@ the sample count down at the cost of running the balancing loop. Both read
 the resistances from the sketch's grounded inverse of its Gram matrix, the
 same one the row sampler scores from, kept up row by row (O(n * 32) per kept
 sketch row inside a component), so scoring a hyperedge is an O(r^2) gather
-and a balancing shift within one component an r x r solve.
+and a balancing shift a solve on the clique's vertices plus the sketch roots
+its pairs join.
 """
 
 from __future__ import annotations
@@ -176,7 +177,6 @@ class HyperSamplerState:
         self.seen = 0
         self._draws = UniformByIndex(cfg.seed)
         self._shifts = 0
-        self._balance_solves = 0
 
     # -- pair scoring against the sketch -------------------------------
 
@@ -218,14 +218,11 @@ class HyperSamplerState:
 
     def stats(self) -> dict:
         """Counters of this sampler, as a plain dict: hyperedges seen and
-        kept; balancing shifts, and balancing calls that took the LU solve
-        because the clique straddled sketch components; and the inner row
-        sampler's stats() under "sampler", which carries the counters of
-        the sketch's one grounded inverse."""
+        kept; balancing shifts; and the inner row sampler's stats() under
+        "sampler", which carries the counters of the sketch's one grounded
+        inverse."""
         return {"seen": self.seen, "kept": len(self.kept),
-                "shifts": self._shifts,
-                "balance_solves": self._balance_solves,
-                "sampler": self.sampler.stats()}
+                "shifts": self._shifts, "sampler": self.sampler.stats()}
 
 
 def fast_hyper_sparsify_step(state: HyperSamplerState,
@@ -249,7 +246,6 @@ def balanced_hyper_sparsify_step(state: HyperSamplerState,
     """
     assignment = get_weight_assignment(state.sampler.sketch, e)
     state._shifts += max(len(assignment.trace) - 1, 0)   # a pair has no trace
-    state._balance_solves += assignment._lu_base
     for (u, v), z in zip(assignment.pairs, assignment.z):
         if z > 0:
             state.sampler.process_row(IncidenceRow(u, v, math.sqrt(z)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, WeightedEdge, _columns, _resistance_solve,
+from .graph import (Graph, WeightedEdge, _columns, _grounded_inverse_of,
                     _unchecked_graph, laplacian)
 from .rng import UniformByIndex
 
@@ -33,11 +33,12 @@ _BRIDGE = 1.0 - 1e-12
 def keep_probabilities(g: Graph, rho: float) -> np.ndarray:
     """min(1, rho * leverage(e)) per edge, rho in (0, inf).
 
-    Leverages are read against g's own Laplacian L from one solve of
-    L / s + P (graph._resistance_solve: P the projector onto each
-    connected component's constants, s the largest weighted degree), so no
-    eigendecomposition runs, a disconnected g needs no special case and
-    the probabilities do not depend on the unit of weight. A leverage
+    Leverages are read against g's own Laplacian L from one grounded
+    inverse of it (graph._grounded_inverse_of: inv(L / s + Q), Q grounding
+    each connected component at one root, s the largest weighted degree),
+    so no eigendecomposition runs, a disconnected g needs no special case
+    (every edge lies inside a component of its own graph) and the
+    probabilities do not depend on the unit of weight. A leverage
     against a graph that contains the edge never exceeds 1; one above
     _BRIDGE counts as exactly 1, so a bridge gets p = 1.0 for every
     rho >= 1 and keeps its weight bit for bit.
@@ -45,7 +46,7 @@ def keep_probabilities(g: Graph, rho: float) -> np.ndarray:
     if not 0 < rho < math.inf:
         raise ValueError("rho must be positive and finite")
     u, v, w = _columns(g.edges)
-    lev = w * _resistance_solve(laplacian(g), u, v)[0]
+    lev = w * _grounded_inverse_of(laplacian(g)).resistance(u, v)
     lev[lev > _BRIDGE] = 1.0
     return np.minimum(1.0, rho * lev)
 

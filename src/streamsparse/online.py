@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 from .graph import (Graph, IncidenceRow, SpectralSketch, WeightedEdge,
-                    _GroundedInverse, _REFRESH_EVERY, _resistance, _stamp,
-                    pseudo_inverse)
+                    _GroundedInverse, _REFRESH_EVERY, _check_row, _resistance,
+                    _stamp, pseudo_inverse)
 from .rng import UniformByIndex
 
 
@@ -41,7 +41,8 @@ class OnlineSamplerState:
     kept row folds into at once. Otherwise it scores against
     provider.gram(), a 2-approximation of the prefix Gram matrix, through a
     grounded inverse of it, and never polls it: the caller that changes the
-    provider calls sketch_changed after each change.
+    provider calls sketch_changed after each change. Then it keeps no sketch
+    of its own (sketch is None).
     """
 
     def __init__(self, n: int, c: float, seed: int = 0, provider=None):
@@ -50,7 +51,6 @@ class OnlineSamplerState:
         self.n = n
         self.c = c
         self.seed = seed
-        self.sketch = SpectralSketch(n)
         self.provider = provider
         self.score_sum = 0.0
         self.kept_count = 0
@@ -59,8 +59,10 @@ class OnlineSamplerState:
         self._index = 0
         self._scored = 0
         if provider is None:
+            self.sketch = SpectralSketch(n)
             self._inverse = self.sketch._grounded_inverse()
         else:
+            self.sketch = None
             self._inverse = _GroundedInverse(n, _REFRESH_EVERY)
         self._stale = provider is not None   # rebuild from provider.gram()
 
@@ -101,12 +103,7 @@ class OnlineSamplerState:
         or a scale outside (0, inf) raises ValueError before any state
         changes.
         """
-        if not (0 <= row.u < self.n and 0 <= row.v < self.n
-                and row.u != row.v):
-            raise ValueError(f"row {row} is a self-loop or out of range "
-                             f"for n={self.n}")
-        if not 0 < row.scale < math.inf:
-            raise ValueError(f"row {row} needs a positive finite scale")
+        _check_row(row, self.n)
         ell = self.score(row)
         # a row joining two components scores inf; the running total counts
         # it as 1, a bridge's leverage

@@ -13,7 +13,12 @@ from streamsparse import (BalanceConfig, Graph, IncidenceRow, SpectralSketch,
 from streamsparse import balance
 from streamsparse.balance import (augmented_graph, clique_pairs, _pair_ratios,
                                   _ratio_base)
-from streamsparse.graph import _accumulate, _resistance_solve
+from streamsparse.graph import _accumulate, _resistance, pseudo_inverse
+
+
+def ratios(sketch, e, z):
+    """The shift loop's ratios of e's clique on the sketch at weights z."""
+    return _pair_ratios(_ratio_base(sketch, e, z), z)
 
 
 def star_sketch(n, center=0, w=1.0):
@@ -114,8 +119,7 @@ class TestAssignment:
         # q_uv uses the full-clique augmented Gram, so scaling z by where the
         # total sits does not change which pairs violate
         sk = star_sketch(4)
-        pairs = clique_pairs((1, 2, 3))
-        q1 = _pair_ratios(sk.gram, pairs, np.array([1.0, 1.0, 1.0]))
+        q1 = ratios(sk, Hyperedge((1, 2, 3), 3.0), np.array([1.0, 1.0, 1.0]))
         assert (q1 > 0).all()
 
     def test_literal_recipient_cap_also_balances(self):
@@ -159,8 +163,8 @@ class TestTieBreak:
             for k in (1, 3, 8):
                 noise = sign * k * ulp * np.array([1, -1, 0, 1, -1, 0])
 
-                def noisy(base, pairs, z, noise=noise):
-                    return exact(base, pairs, z) * (1.0 + noise)
+                def noisy(base, z, noise=noise):
+                    return exact(base, z) * (1.0 + noise)
 
                 monkeypatch.setattr(balance, "_pair_ratios", noisy)
                 got = get_weight_assignment(sk, e, cfg)
@@ -190,7 +194,7 @@ def chunked_sketches(draw):
     """(n, chunks): sketch rows over n vertices, each vertex in group 0, 1
     or 2; rows join vertices of group 0 or 1 only, pairs may repeat, so
     the sketch has several components and isolated vertices. The rows
-    arrive in chunks, each followed by cliques of 2 to 4 vertices, half of
+    arrive in chunks, each followed by cliques of 2 to 5 vertices, half of
     them drawn inside one component of the rows so far, with weights
     z >= 0, some of them 0."""
     n = draw(st.integers(min_value=4, max_value=9))
@@ -212,7 +216,7 @@ def chunked_sketches(draw):
             pool = list(range(n))
             if inside and draw(st.booleans()):
                 pool = draw(st.sampled_from(inside))
-            k = draw(st.integers(min_value=2, max_value=min(4, len(pool))))
+            k = draw(st.integers(min_value=2, max_value=min(5, len(pool))))
             verts = draw(st.lists(st.sampled_from(pool), min_size=k,
                                   max_size=k, unique=True))
             z = draw(st.lists(st.one_of(st.just(0.0), weight),
@@ -227,10 +231,11 @@ class TestSketchInverseRatios:
     @given(chunked_sketches())
     @settings(max_examples=150, deadline=None)
     def test_ratios_match_the_augmented_solve(self, case):
-        # the ratios the shift loop reads from a sketch equal the LU solve
-        # on the z-augmented Gram matrix, for cliques inside one component
-        # (read from the grounded inverse) and straddling ones alike, with
-        # rows appended between reads
+        # the ratios the shift loop reads from a sketch's grounded inverse
+        # equal the pseudo-inverse resistances of the z-augmented Gram
+        # matrix K, for cliques inside one component and straddling ones
+        # alike, with rows appended between reads; a pair whose endpoints
+        # lie in different components of K reads inf
         n, chunks = case
         sk = SpectralSketch(n)
         for rows, cliques in chunks:
@@ -241,8 +246,13 @@ class TestSketchInverseRatios:
                 pairs = clique_pairs(e.vertices)
                 u, v = np.array(pairs).T
                 K = _accumulate(sk.gram.copy(), u, v, z)
-                want = _resistance_solve(K, u, v)[0]
-                got = _pair_ratios(_ratio_base(sk, e), pairs, z)
+                comps = _components_of(n, [(r.u, r.v) for r in sk.rows]
+                                       + [p for p, zi in zip(pairs, z) if zi])
+                comp = {x: i for i, c in enumerate(comps) for x in c}
+                split = np.array([comp[a] != comp[b] for a, b in pairs])
+                want = np.where(split, np.inf,
+                                _resistance(pseudo_inverse(K), u, v))
+                got = ratios(sk, e, z)
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     @given(chunked_sketches(), st.sampled_from((1.2, 2.0)))
@@ -262,6 +272,43 @@ class TestSketchInverseRatios:
                         == TestTieBreak._moves(want))
                 np.testing.assert_allclose(got.z, want.z, rtol=1e-9,
                                            atol=1e-12)
+
+    @given(chunked_sketches(), st.sampled_from((1.2, 2.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_positive_pairs_keep_the_clique_connected(self, case, gamma):
+        # the shift loop takes its ratio base once per call, which holds
+        # because no shift splits the clique: at every z of the trace the
+        # sketch rows and the positive pairs connect every clique vertex
+        n, chunks = case
+        sk = SpectralSketch(n)
+        for rows, cliques in chunks:
+            for (u, v), w in rows:
+                sk.append(IncidenceRow(u, v, math.sqrt(w)))
+            for verts, z in cliques:
+                e = Hyperedge(verts, 1.0 + z.sum())
+                wa = get_weight_assignment(sk, e, BalanceConfig(gamma=gamma))
+                for zt in wa.trace:
+                    comps = _components_of(
+                        n, [(r.u, r.v) for r in sk.rows]
+                        + [p for p, zi in zip(wa.pairs, zt) if zi > 0])
+                    assert any(set(verts) <= set(c) for c in comps)
+
+    def test_split_weights_are_not_balanced(self):
+        # components {0, 1, 2} and {3, 4}; z joins 0 and 3 across them but
+        # leaves vertex 5 (isolated) and the pairs to it at zero
+        sk = SpectralSketch(6)
+        for u, v, w in ((0, 1, 2.0), (1, 2, 1.0), (3, 4, 3.0)):
+            sk.append(IncidenceRow(u, v, math.sqrt(w)))
+        e = Hyperedge((0, 3, 5), 1.0)      # pairs (0,3), (0,5), (3,5)
+        z = np.array([1.0, 0.0, 0.0])
+        q = ratios(sk, e, z)
+        assert q[0] == pytest.approx(1.0, rel=1e-12)    # a unit bridge
+        assert q[1] == q[2] == math.inf
+        assert not is_balanced(sk, e, z, 2.0)
+        assert not is_balanced(sk.gram, e, z, 2.0)
+        # the same clique balanced from scratch is connected and balanced
+        wa = get_weight_assignment(sk, e)
+        assert (wa.z > 0).all() and is_balanced(sk, e, wa.z, 2.0)
 
     def test_balancing_leaves_the_inverse_as_it_is(self):
         # components {0..3} (a heavy pair and a cycle) and {4, 5, 6};

@@ -12,7 +12,7 @@ from streamsparse import (DisconnectedError, Graph, IncidenceRow,
                           leverage, leverages, pseudo_inverse, pseudo_solve,
                           rayleigh_error)
 from streamsparse.graph import (_BLOCK, _GroundedInverse, _accumulate, _columns,
-                                _components, _resistance, _resistance_solve,
+                                _components, _grounded_inverse_of, _resistance,
                                 _stamp, _unchecked_graph)
 
 
@@ -162,12 +162,26 @@ class TestComponentSolve:
     @settings(max_examples=150, deadline=None)
     def test_resistances_match_pseudo_inverse(self, case):
         n, edges, u, v = case
+        # a rebuilt grounded inverse: its labels partition the vertices as
+        # the components do, and pairs inside one component (coincident
+        # ones too) read their pseudo-inverse resistances
         L = laplacian(Graph(n, edges))
-        got, straddles = _resistance_solve(L, u, v)
-        want = _resistance(pseudo_inverse(L), u, v)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        inv = _grounded_inverse_of(L)
         labels = union_find_labels(n, edges)
-        assert np.array_equal(straddles, labels[u] != labels[v])
+        assert np.array_equal(same_component(inv.labels),
+                              same_component(labels))
+        inside = labels[u] == labels[v]
+        got = inv.resistance(u[inside], v[inside])
+        want = _resistance(pseudo_inverse(L), u[inside], v[inside])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_edgeless_inverse_reads_zero_on_coincident_pairs(self):
+        # G = 0 leaves the scale unset; the read must not divide by it
+        inv = _grounded_inverse_of(np.zeros((3, 3)))
+        with np.errstate(all="raise"):
+            assert inv.resistance(1, 1) == 0.0
+            vs = np.arange(3)
+            assert np.array_equal(inv.resistance(vs, vs), np.zeros(3))
 
 
 def same_component(labels):
@@ -244,8 +258,8 @@ class TestGroundedInverse:
         want = _resistance(Gp, vs[iu], vs[iv]) / W
         for got in (inv.resistance(vs[iu], vs[iv]),
                     built.resistance(vs[iu], vs[iv]),
-                    _resistance(inv.block(vs), iu, iv),
-                    _resistance(built.block(vs), iu, iv)):
+                    _resistance(inv.block(vs, 1.0)[0], iu, iv),
+                    _resistance(built.block(vs, 1.0)[0], iu, iv)):
             np.testing.assert_allclose(got, want, rtol=1e-9)
         assert inv.straddles((0, n - 1)) and built.straddles((0, n - 1))
 
@@ -363,6 +377,28 @@ class TestSketchAndRidge:
         for _ in range(4):
             sk.append(IncidenceRow(0, 1, 1.0))
         assert sk._grounded_inverse().resistance(0, 1) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("bad", [IncidenceRow(0, 1, math.nan),
+                                     IncidenceRow(0, 1, math.inf),
+                                     IncidenceRow(2, 2, 1.0),
+                                     IncidenceRow(1, 4, 1.0)],
+                             ids=["nan-scale", "inf-scale", "self-loop",
+                                  "out-of-range"])
+    def test_bad_append_changes_nothing(self, bad):
+        good = [IncidenceRow(0, 1, 1.5), IncidenceRow(1, 2, 0.5)]
+        sk, fresh = SpectralSketch(4), SpectralSketch(4)
+        for sketch in (sk, fresh):
+            for row in good:
+                sketch.append(row)
+            sketch._grounded_inverse()
+        with pytest.raises(ValueError):
+            sk.append(bad)
+        assert sk.rows == fresh.rows
+        assert np.array_equal(sk.gram, fresh.gram)
+        a, b = sk._grounded_inverse(), fresh._grounded_inverse()
+        assert np.array_equal(a.M, b.M) and np.array_equal(a._Y, b._Y)
+        assert np.array_equal(a.labels, b.labels)
+        assert a.stats() == b.stats() and a.s == b.s
 
 
 class TestRayleighError:

@@ -273,7 +273,7 @@ class TestSamplers:
         h = random_hypergraph(rng, m=40)
         state = HyperSamplerState(8, HyperSamplerConfig(rho=0.05, seed=2))
         assert state.stats() == {
-            "seen": 0, "kept": 0, "shifts": 0, "balance_solves": 0,
+            "seen": 0, "kept": 0, "shifts": 0,
             "sampler": {"scored": 0, "kept": 0, "folds": 0, "block_folds": 0,
                         "joins": 0, "refreshes": 0, "drift": 0.0}}
         for e in h.hyperedges:
@@ -292,14 +292,11 @@ class TestSamplers:
             _components(state.sampler.sketch.gram)).size
 
     def test_balancing_stats(self, monkeypatch):
-        # shifts add up the balancing traces; an LU balancing solve happens
-        # exactly for a clique of 3+ vertices that straddles sketch components
-        assignments, straddling = [], []
+        # shifts add up the balancing traces
+        assignments = []
         real = hypergraph.get_weight_assignment
 
         def recording(sketch, e, *args):
-            labels = _components(sketch.gram)[list(e.vertices)]
-            straddling.append(e.size > 2 and (labels != labels[0]).any())
             assignments.append(real(sketch, e, *args))
             return assignments[-1]
 
@@ -313,14 +310,7 @@ class TestSamplers:
         stats = state.stats()
         assert stats["shifts"] == sum(len(a.trace) - 1 for a in assignments
                                       if a.trace) > 0
-        assert 0 < stats["balance_solves"] <= len(assignments) == 60
-        assert stats["balance_solves"] == sum(straddling)
-        connected = HyperSamplerState(8, cfg)
-        for v in range(7):
-            connected.sampler.sketch.append(IncidenceRow(v, v + 1, 1.0))
-        for e in h.hyperedges:
-            connected.step(e)
-        assert connected.stats()["balance_solves"] == 0
+        assert len(assignments) == 60
 
     def test_determinism(self):
         rng = np.random.default_rng(9)

@@ -173,6 +173,30 @@ class TestProviderMode:
         assert_grounded(state._inverse, G)
         assert state.stats()["refreshes"] == 1
 
+    def test_keeps_no_sketch_of_its_own(self):
+        # the tower's Gram is the scoring sketch, so the sampler builds
+        # none; the counters and the kept edges are those of a sampler that
+        # kept an unused empty sketch
+        g = gen_synthetic(20, 3000, seed=4)
+        cfg = StreamPipelineConfig(
+            online=OnlineConfig(c=20.0, seed=2), tree=TreeConfig(block_size=100),
+            use_tree_sketch=True, m_hint=g.m)
+        pipe = StreamSparsifier(g.n, cfg)
+        assert pipe.sampler.sketch is None
+        for e in g.edges:
+            pipe.push(e)
+        assert pipe.stats() == {
+            "sampler": {"scored": 3000, "kept": 1177, "folds": 1172,
+                        "block_folds": 37, "joins": 19, "refreshes": 6,
+                        "drift": 0.0},
+            "tree": {"pushed": 1177, "carries": 11, "merges": 8,
+                     "resident": 362, "peak_resident": 402, "gram_builds": 6},
+            "max_resident": 402}
+        out = pipe.result()
+        assert out.m == 362
+        assert sum(e.w for e in out.edges) == pytest.approx(16363.6924256527,
+                                                            rel=1e-9)
+
 
 def _stream(seed, n, m):
     """m edges over n vertices with weights U(1, 10)."""
