@@ -147,6 +147,7 @@ def _components(G: np.ndarray) -> np.ndarray:
 
 _REFRESH_EVERY = 512   # folds between full refreshes of a maintained inverse
 _BLOCK = 32            # pending rank-1 terms folded into M by one GEMM
+_CATCH_UP = 16         # unfolded sketch rows a read folds; more rebuild it
 
 
 class _GroundedInverse:
@@ -232,12 +233,6 @@ class _GroundedInverse:
                 "drift": self.drift}
 
     # -- updates -------------------------------------------------------
-
-    def sync(self, sketch: SpectralSketch) -> None:
-        """Fold the sketch rows appended since the last call, in order."""
-        for u, v, s in sketch.rows[self.folds:]:
-            self.fold(u, v, s * s)
-        self.maybe_refresh(sketch.gram)
 
     def fold(self, u: int, v: int, t: float) -> None:
         """Fold t d d^T, d = e_u - e_v, into the inverse."""
@@ -423,22 +418,30 @@ class SpectralSketch:
     """A running set of reweighted incidence rows; the Gram matrix of the
     rows approximates a Laplacian and drives sampling probabilities.
 
-    Resistances on the sketch are read from one grounded inverse of the Gram
-    matrix (_GroundedInverse), built on the first _grounded_inverse() call;
-    from then on every append folds its row into it at once."""
+    append only checks, records and stamps a row. Resistances on the sketch
+    are read from one grounded inverse of the Gram matrix
+    (_GroundedInverse), which catches up only when _grounded_inverse()
+    reads it: up to _CATCH_UP unfolded rows fold in, in order; more are
+    taken in by one rebuild from the Gram matrix."""
 
     def __init__(self, n: int):
         self.n = n
         self.rows: list[IncidenceRow] = []
         self._gram = np.zeros((n, n))
-        self._inverse: _GroundedInverse | None = None
+        self._inverse = _GroundedInverse(n, _REFRESH_EVERY)
+        self._folded = 0                    # rows the inverse has taken in
 
     def _grounded_inverse(self) -> _GroundedInverse:
-        """The grounded inverse with every row appended so far folded in."""
-        if self._inverse is None:
-            self._inverse = _GroundedInverse(self.n, _REFRESH_EVERY)
-            self._inverse.sync(self)
-        return self._inverse
+        """The grounded inverse with every row appended so far taken in."""
+        inv, pending = self._inverse, len(self.rows) - self._folded
+        if pending > _CATCH_UP:
+            inv.rebuild(self._gram)
+        elif pending:
+            for u, v, s in self.rows[self._folded:]:
+                inv.fold(u, v, s * s)
+            inv.maybe_refresh(self._gram)
+        self._folded = len(self.rows)
+        return inv
 
     def append(self, row: IncidenceRow) -> None:
         """Add row to the sketch. A self-loop, an endpoint outside [0, n)
@@ -447,9 +450,6 @@ class SpectralSketch:
         self.rows.append(row)
         u, v, s = row
         _stamp(self._gram, u, v, s * s)
-        if self._inverse is not None:
-            self._inverse.fold(u, v, s * s)
-            self._inverse.maybe_refresh(self._gram)
 
     @property
     def gram(self) -> np.ndarray:

@@ -7,10 +7,16 @@ resistance over its clique pairs; the balanced variant first splits the
 hyperedge weight across its pairs with a balanced assignment, which brings
 the sample count down at the cost of running the balancing loop. Both read
 the resistances from the sketch's grounded inverse of its Gram matrix, the
-same one the row sampler scores from, kept up row by row (O(n * 32) per kept
-sketch row inside a component), so scoring a hyperedge is an O(r^2) gather
-and a balancing shift a solve on the clique's vertices plus the sketch roots
-its pairs join.
+same one the row sampler scores from, which catches up on the sketch's new
+rows when it is read (see graph.SpectralSketch), so scoring a hyperedge is
+an O(r^2) gather and a balancing shift a solve on the clique's vertices
+plus the sketch roots its pairs join.
+
+The fast variant first tries the sketch's weighted degrees: the largest
+pair resistance is at least 1 / min_{x in e} d_x, so a hyperedge with
+rho * w >= min_x d_x (up to the row sampler's margin) is certified, kept
+with p = 1 without reading the inverse, and scored by that lower bound
+w / min_x d_x (inf at degree 0).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from .balance import clique_pairs, get_weight_assignment
 from .graph import Graph, IncidenceRow, WeightedEdge
-from .online import OnlineSamplerState, default_c
+from .online import _CERTIFY_MARGIN, OnlineSamplerState, default_c
 from .rng import UniformByIndex, spawn_seed
 
 
@@ -137,7 +143,8 @@ def balanced_rho(r: int, m: int, eps: float) -> float:
 class HyperDecision(NamedTuple):
     kept: bool
     p: float
-    score: float          # max pair score before the rho multiplier
+    score: float    # max pair score before the rho multiplier, or for a
+                    # certified hyperedge its lower bound w / min degree
 
 
 @dataclass(frozen=True)
@@ -177,6 +184,7 @@ class HyperSamplerState:
         self.seen = 0
         self._draws = UniformByIndex(cfg.seed)
         self._shifts = 0
+        self._certified = 0
 
     # -- pair scoring against the sketch -------------------------------
 
@@ -197,7 +205,7 @@ class HyperSamplerState:
     def _decide(self, e: Hyperedge, p: float, score: float) -> HyperDecision:
         idx = self.seen
         self.seen += 1
-        kept = self._draws.uniform(idx) < p
+        kept = p >= 1.0 or self._draws.uniform(idx) < p
         if kept:
             self.kept.append((e, 1.0 / p))
         return HyperDecision(kept, p, score)
@@ -217,21 +225,28 @@ class HyperSamplerState:
         return out
 
     def stats(self) -> dict:
-        """Counters of this sampler, as a plain dict: hyperedges seen and
-        kept; balancing shifts; and the inner row sampler's stats() under
-        "sampler", which carries the counters of the sketch's one grounded
-        inverse."""
-        return {"seen": self.seen, "kept": len(self.kept),
-                "shifts": self._shifts, "sampler": self.sampler.stats()}
+        """Counters of this sampler, as a plain dict: hyperedges seen,
+        certified (fast variant) and kept; balancing shifts; and the inner
+        row sampler's stats() under "sampler", which carries the counters
+        of the sketch's one grounded inverse."""
+        return {"seen": self.seen, "certified": self._certified,
+                "kept": len(self.kept), "shifts": self._shifts,
+                "sampler": self.sampler.stats()}
 
 
 def fast_hyper_sparsify_step(state: HyperSamplerState,
                              e: Hyperedge) -> HyperDecision:
     """Feed all clique rows to the row sampler, then keep the hyperedge with
-    probability min(1, rho * max pair resistance)."""
+    probability min(1, rho * max pair resistance), or with p = 1 when the
+    sketch's weighted degrees certify it."""
     s = math.sqrt(e.w)
     for u, v in clique_pairs(e.vertices):
         state.sampler.process_row(IncidenceRow(u, v, s))
+    G = state.sampler.sketch.gram
+    d = float(min(G[x, x] for x in e.vertices))
+    if state.cfg.rho * e.w >= d * _CERTIFY_MARGIN:
+        state._certified += 1
+        return state._decide(e, 1.0, e.w / d if d else math.inf)
     score = state._pair_scores(e)
     p = min(1.0, state.cfg.rho * score)
     return state._decide(e, p, score)

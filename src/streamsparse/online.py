@@ -10,10 +10,20 @@ row joining two components scores inf, so p = 1. The grounded inverse is
 scaled to the Gram matrix, so the scores do not depend on the unit of the
 weights.
 
+In self-sketch mode many rows are decided before any score: by Rayleigh
+monotonicity (short every vertex but u) a row's leverage is at least
+scale^2 / min(d_u, d_v), d the sketch's weighted degrees, the Gram
+diagonal. A row with c * scale^2 >= min(d_u, d_v), up to a relative margin
+of _CERTIFY_MARGIN against rounding, is certified: kept with p = 1 and its
+weight unchanged, without reading the inverse or taking a draw. A degree of
+0 certifies too; such a row joins two components. The sketch's inverse
+catches up on the rows it has not taken in only when a score reads it.
+
 In provider mode the sketch is an external Gram matrix (the merge-and-reduce
 tower's), and its owner reports each change through sketch_changed: one
 added row folds into a grounded inverse of that Gram matrix, a rebuild makes
-the next score build the inverse again from provider.gram().
+the next score build the inverse again from provider.gram(). Every row is
+scored there.
 """
 
 from __future__ import annotations
@@ -33,16 +43,22 @@ def default_c(m: int, eps: float = 1.0, alpha: float = 4.0) -> float:
     return alpha * math.log(max(m, 2)) / (eps * eps)
 
 
+# relative margin of a degree bound that certifies p = 1, so that rounding
+# in the degrees cannot certify a row whose score would give p < 1
+_CERTIFY_MARGIN = 1.0 + 1e-9
+
+
 class OnlineSamplerState:
     """Sequential single-owner sampling state with one maintained inverse.
 
     With provider=None the sampler scores against its own kept rows
-    (self-sketch mode) and reads the sketch's grounded inverse, which every
-    kept row folds into at once. Otherwise it scores against
-    provider.gram(), a 2-approximation of the prefix Gram matrix, through a
-    grounded inverse of it, and never polls it: the caller that changes the
-    provider calls sketch_changed after each change. Then it keeps no sketch
-    of its own (sketch is None).
+    (self-sketch mode): it certifies the rows its sketch's weighted degrees
+    decide, and scores the others from the sketch's grounded inverse, which
+    catches up on the kept rows when a score reads it. Otherwise it scores
+    every row against provider.gram(), a 2-approximation of the prefix Gram
+    matrix, through a grounded inverse of it, and never polls it: the
+    caller that changes the provider calls sketch_changed after each
+    change. Then it keeps no sketch of its own (sketch is None).
     """
 
     def __init__(self, n: int, c: float, seed: int = 0, provider=None):
@@ -52,22 +68,25 @@ class OnlineSamplerState:
         self.c = c
         self.seed = seed
         self.provider = provider
-        self.score_sum = 0.0
         self.kept_count = 0
         self.kept_edges: list[WeightedEdge] = []
         self._draws = UniformByIndex(seed)
         self._index = 0
         self._scored = 0
+        self._certified = 0
         if provider is None:
             self.sketch = SpectralSketch(n)
-            self._inverse = self.sketch._grounded_inverse()
+            self._inverse = self.sketch._inverse
         else:
             self.sketch = None
             self._inverse = _GroundedInverse(n, _REFRESH_EVERY)
         self._stale = provider is not None   # rebuild from provider.gram()
 
     def _current(self) -> _GroundedInverse:
-        """The scoring inverse, rebuilt first if the provider was."""
+        """The scoring inverse, caught up with the sketch's rows, or rebuilt
+        first if the provider was."""
+        if self.sketch is not None:
+            return self.sketch._grounded_inverse()
         if self._stale:
             self._inverse.rebuild(self.provider.gram())
             self._stale = False
@@ -95,31 +114,41 @@ class OnlineSamplerState:
             return math.inf
         return s * s * inv.resistance(u, v)
 
+    def _certifies(self, row: IncidenceRow) -> bool:
+        """Whether the sketch's weighted degrees alone give c * score >= 1
+        (self-sketch mode only; see the module docstring)."""
+        if self.sketch is None:
+            return False
+        u, v, s = row
+        G = self.sketch.gram
+        return self.c * (s * s) >= min(G[u, u], G[v, v]) * _CERTIFY_MARGIN
+
     def process_row(self, row: IncidenceRow) -> tuple[bool, IncidenceRow | None]:
-        """Score, decide, and (in self-sketch mode) grow the sketch.
+        """Certify or score, decide, and (in self-sketch mode) grow the
+        sketch.
 
         Returns (kept, reweighted row). Decisions are keyed by
-        (seed, arrival index). A self-loop row, an endpoint outside [0, n)
-        or a scale outside (0, inf) raises ValueError before any state
-        changes.
+        (seed, arrival index); a row with p = 1 takes no draw. A self-loop
+        row, an endpoint outside [0, n) or a scale outside (0, inf) raises
+        ValueError before any state changes.
         """
         _check_row(row, self.n)
-        ell = self.score(row)
-        # a row joining two components scores inf; the running total counts
-        # it as 1, a bridge's leverage
-        self.score_sum += min(ell, 1.0)
-        p = min(self.c * ell, 1.0)
+        if self._certifies(row):
+            self._certified += 1
+            p = 1.0
+        else:
+            p = min(self.c * self.score(row), 1.0)
         self.last_p = p
         idx = self._index
         self._index += 1
-        kept = self._draws.uniform(idx) < p
+        kept = p >= 1.0 or self._draws.uniform(idx) < p
         if not kept:
             return False, None
         reweighted = IncidenceRow(row.u, row.v, row.scale / math.sqrt(p))
         self.kept_count += 1
         self.kept_edges.append(WeightedEdge(row.u, row.v, row.scale ** 2 / p))
         if self.provider is None:
-            self.sketch.append(reweighted)     # folds into the inverse
+            self.sketch.append(reweighted)
         return True, reweighted
 
     def process_edge(self, e: WeightedEdge) -> tuple[bool, WeightedEdge | None]:
@@ -137,11 +166,12 @@ class OnlineSamplerState:
         return True, out
 
     def stats(self) -> dict:
-        """Counters of this sampler, as a plain dict: rows scored and kept,
-        and its grounded inverse's folds, block folds, joins, refreshes and
-        drift (see graph._GroundedInverse.stats)."""
-        return {"scored": self._scored, "kept": self.kept_count,
-                **self._inverse.stats()}
+        """Counters of this sampler, as a plain dict: rows scored, certified
+        and kept, and its grounded inverse's folds, block folds, joins,
+        refreshes and drift (see graph._GroundedInverse.stats), all zero
+        until a score first reads the inverse."""
+        return {"scored": self._scored, "certified": self._certified,
+                "kept": self.kept_count, **self._inverse.stats()}
 
     def finalize(self) -> Graph:
         """Snapshot of the sampled reweighted edges, in arrival order.

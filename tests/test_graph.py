@@ -1,6 +1,7 @@
 """Core Laplacian machinery: solves, resistances, leverage, error metric."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from streamsparse import (DisconnectedError, Graph, IncidenceRow,
                           effective_resistance, incidence_matrix, laplacian,
                           leverage, leverages, pseudo_inverse, pseudo_solve,
                           rayleigh_error)
-from streamsparse.graph import (_BLOCK, _GroundedInverse, _accumulate, _columns,
+from streamsparse import graph
+from streamsparse.graph import (_BLOCK, _CATCH_UP, _REFRESH_EVERY,
+                                _GroundedInverse, _accumulate, _columns,
                                 _components, _grounded_inverse_of, _resistance,
                                 _stamp, _unchecked_graph)
 
@@ -204,6 +207,12 @@ def assert_grounded(inv, G):
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
+def _sketch(n, refresh_every):
+    """A SpectralSketch whose inverse refreshes every refresh_every folds."""
+    with mock.patch.object(graph, "_REFRESH_EVERY", refresh_every):
+        return SpectralSketch(n)
+
+
 class TestGroundedInverse:
     @given(split_laplacians(), st.integers(min_value=1, max_value=4),
            st.integers(min_value=1, max_value=6))
@@ -211,16 +220,16 @@ class TestGroundedInverse:
     def test_tracks_pseudo_inverse_and_components(self, case, every,
                                                   refresh_every):
         # rows arrive in random order inside vertex groups, so components
-        # grow by joins; syncing every few rows folds several at once, and
+        # grow by joins; reading every few rows folds several at once, and
         # a short refresh interval makes the stream cross refreshes
         n, edges, _, _ = case
-        sketch, inv = SpectralSketch(n), _GroundedInverse(n, refresh_every)
+        sketch = _sketch(n, refresh_every)
         a, b = np.triu_indices(n, 1)
         for k, (u, v, w) in enumerate(edges, 1):
             sketch.append(IncidenceRow(u, v, math.sqrt(w)))
             if k % every and k < len(edges):
                 continue
-            inv.sync(sketch)
+            inv = sketch._grounded_inverse()
             assert_grounded(inv, sketch.gram)
             labels = union_find_labels(n, edges[:k])
             inside = labels[a] == labels[b]
@@ -230,7 +239,42 @@ class TestGroundedInverse:
             assert inv.folds == k
             assert inv.joins == n - np.unique(labels).size
         if every == 1:
-            assert inv.refreshes == len(edges) // refresh_every
+            assert sketch._inverse.refreshes == len(edges) // refresh_every
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.lists(st.one_of(st.integers(min_value=0, max_value=3 * _CATCH_UP),
+                              st.sampled_from((_CATCH_UP, _CATCH_UP + 1))),
+                    min_size=1, max_size=8),
+           st.sampled_from((5, _REFRESH_EVERY)))
+    @settings(max_examples=30, deadline=None)
+    def test_reads_catch_up_on_any_interleaving(self, seed, runs,
+                                                refresh_every):
+        # runs of appends between reads, on both sides of _CATCH_UP, then
+        # enough runs of _CATCH_UP rows to cross a refresh in the fold
+        # path: a short run folds its rows in order and refreshes when one
+        # is due, a long one is taken in by one rebuild; every read is
+        # grounded, and the vertex n - 1 stays isolated
+        rng = np.random.default_rng(seed)
+        n = 9
+        sketch = _sketch(n, refresh_every)
+        inv = sketch._inverse
+        tail = [_CATCH_UP] * (refresh_every // _CATCH_UP + 1)
+        for run in runs + tail:
+            folds, refreshes = inv.folds, inv.refreshes
+            due = inv._since_refresh + run >= refresh_every
+            for _ in range(run):
+                u, v = rng.choice(n - 1, size=2, replace=False)
+                sketch.append(IncidenceRow(int(u), int(v),
+                                           math.sqrt(rng.uniform(0.1, 10.0))))
+            assert sketch._grounded_inverse() is inv
+            assert_grounded(inv, sketch.gram)
+            if run > _CATCH_UP:
+                assert (inv.folds, inv.refreshes) == (folds, refreshes + 1)
+            else:
+                assert inv.folds == folds + run
+                assert inv.refreshes == refreshes + (run > 0 and due)
+            assert inv._since_refresh < refresh_every
+        assert inv.refreshes > 0 and 0 < inv.drift < 1e-9
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=-6, max_value=15))
@@ -242,12 +286,12 @@ class TestGroundedInverse:
         rng = np.random.default_rng(seed)
         n, W = 7, 10.0 ** decade
         sketch = SpectralSketch(n)
-        inv = _GroundedInverse(n, 1000)
         for _ in range(3 * _BLOCK):
             u, v = (int(x) for x in rng.choice(n - 1, size=2, replace=False))
             sketch.append(IncidenceRow(u, v, math.sqrt(W * rng.uniform(1, 2))))
-            inv.sync(sketch)
+            inv = sketch._grounded_inverse()
             assert_grounded(inv, sketch.gram)
+        assert inv.folds == 3 * _BLOCK and inv.refreshes == 0
         built = _GroundedInverse(n, 1000)
         built.rebuild(sketch.gram)
         assert_grounded(built, sketch.gram)
@@ -266,13 +310,24 @@ class TestGroundedInverse:
     def test_refresh_records_drift(self):
         rng = np.random.default_rng(0)
         n = 10
-        sketch, inv = SpectralSketch(n), _GroundedInverse(n, 16)
+        sketch = _sketch(n, 16)
         for _ in range(100):
             u, v = rng.choice(n, size=2, replace=False)
             sketch.append(IncidenceRow(int(u), int(v), rng.uniform(0.5, 2)))
-            inv.sync(sketch)
+            inv = sketch._grounded_inverse()
         assert inv.refreshes == 100 // 16
         assert 0 < inv.drift < 1e-10
+
+    def test_append_leaves_the_inverse_alone(self):
+        # appends only record and stamp; the rows wait for the next read
+        sketch = SpectralSketch(4)
+        inv = sketch._inverse
+        for _ in range(_CATCH_UP + 1):
+            sketch.append(IncidenceRow(0, 1, 1.0))
+        assert inv.stats() == _GroundedInverse(4, _REFRESH_EVERY).stats()
+        assert np.array_equal(inv.M, np.eye(4))
+        assert sketch._grounded_inverse().resistance(0, 1) == \
+               pytest.approx(1.0 / (_CATCH_UP + 1), rel=1e-12)
 
 
 class TestLaplacian:

@@ -1,5 +1,6 @@
 """Hypergraph energy, clique expansion, quantization, online samplers."""
 
+import dataclasses
 import itertools
 import math
 from dataclasses import FrozenInstanceError
@@ -15,7 +16,7 @@ from streamsparse import (Graph, Hyperedge, Hypergraph, HyperSamplerConfig,
                           hyper_energy, hyper_sparsify, laplacian,
                           pseudo_inverse, quantize_weight)
 from streamsparse import graph, hypergraph
-from streamsparse.graph import _GroundedInverse, _components, _resistance
+from streamsparse.graph import _components, _resistance
 from streamsparse.hypergraph import _rescaled
 
 from test_graph import assert_grounded
@@ -273,22 +274,28 @@ class TestSamplers:
         h = random_hypergraph(rng, m=40)
         state = HyperSamplerState(8, HyperSamplerConfig(rho=0.05, seed=2))
         assert state.stats() == {
-            "seen": 0, "kept": 0, "shifts": 0,
-            "sampler": {"scored": 0, "kept": 0, "folds": 0, "block_folds": 0,
-                        "joins": 0, "refreshes": 0, "drift": 0.0}}
+            "seen": 0, "certified": 0, "kept": 0, "shifts": 0,
+            "sampler": {"scored": 0, "certified": 0, "kept": 0, "folds": 0,
+                        "block_folds": 0, "joins": 0, "refreshes": 0,
+                        "drift": 0.0}}
         for e in h.hyperedges:
             state.step(e)
         stats = state.stats()
         assert stats["seen"] == 40
-        assert 0 < stats["kept"] == len(state.kept) < 40
+        assert stats["certified"] <= stats["kept"] == len(state.kept)
+        assert 0 < stats["kept"] < 40
         assert stats["sampler"] == state.sampler.stats()
-        # the one inverse the hyperedges and the rows are scored from folds
-        # every kept row once
+        # every clique row is certified or scored; the one inverse the
+        # hyperedges and the rows are scored from takes in every kept row
+        # once, by a fold or a rebuild, and its labels follow the sketch
         rows = stats["sampler"]
-        assert rows["folds"] == rows["kept"] == len(state.sampler.sketch)
-        assert rows["scored"] == sum(e.size * (e.size - 1) // 2
-                                     for e in h.hyperedges)
-        assert rows["joins"] == 8 - np.unique(
+        assert rows["kept"] == len(state.sampler.sketch)
+        assert rows["folds"] <= rows["kept"]
+        assert rows["scored"] + rows["certified"] == sum(
+            e.size * (e.size - 1) // 2 for e in h.hyperedges)
+        assert rows["scored"] > 0 and rows["certified"] > 0
+        inv = state.sampler._current()
+        assert inv.components == np.unique(
             _components(state.sampler.sketch.gram)).size
 
     def test_balancing_stats(self, monkeypatch):
@@ -358,7 +365,7 @@ class TestMaintainedScores:
             state.step(e)
             G = state.sampler.sketch.gram
             labels = _components(G)
-            inv = state.sampler.sketch._inverse
+            inv = state.sampler.sketch._grounded_inverse()
             assert inv is state.sampler._inverse
             assert_grounded(inv, G)
             Gp = pseudo_inverse(G)
@@ -369,35 +376,75 @@ class TestMaintainedScores:
                 else:
                     assert got == pytest.approx(_resistance(Gp, x, y),
                                                 rel=1e-9, abs=1e-12)
+            # read after every step, at most one clique's rows wait, so
+            # every row folds; a read refreshes when one is due
             stats = state.stats()["sampler"]
             assert stats["folds"] == len(state.sampler.sketch)
             assert stats["joins"] == n - np.unique(labels).size
-        assert stats["refreshes"] == stats["folds"] // refresh_every
+            assert inv._since_refresh < refresh_every
+        assert stats["refreshes"] <= stats["folds"] // refresh_every
 
-    def test_balancing_and_scoring_share_one_inverse(self):
+    def test_balancing_and_scoring_share_one_inverse(self, monkeypatch):
         # rows, hyperedges and balancing all read the sketch's one inverse,
-        # which folds every sketch row once, in order, as each is kept: bit
-        # for bit as a fresh inverse syncing after every row does
+        # which takes in the rows appended since, in order, at each read:
+        # bit for bit as a fresh sketch read at the same points
         rng = np.random.default_rng(12)
         h = random_hypergraph(rng, n=10, m=300, r=4)
         state = HyperSamplerState(10, HyperSamplerConfig(
             rho=1.0, variant="balanced", m_hint=900))
         sketch = state.sampler.sketch
-        ref = _GroundedInverse(10, graph._REFRESH_EVERY)
-        mirror = SpectralSketch(10)
+        reads = []
+        real = sketch._grounded_inverse
+
+        def recording():
+            reads.append(len(sketch))
+            return real()
+
+        monkeypatch.setattr(sketch, "_grounded_inverse", recording)
         for e in h.hyperedges:
             state.step(e)
-            for row in sketch.rows[len(mirror):]:
+        mirror = SpectralSketch(10)
+        for k in reads:
+            for row in sketch.rows[len(mirror):k]:
                 mirror.append(row)
-                ref.sync(mirror)
+            ref = mirror._grounded_inverse()
         inv = sketch._inverse
         assert inv is state.sampler._inverse
         assert inv.refreshes >= 1 and state.stats()["shifts"] > 0
+        assert len(reads) >= state.seen
         assert np.array_equal(inv.M, ref.M)
         assert np.array_equal(inv._Y, ref._Y)
         assert np.array_equal(inv.labels, ref.labels)
         assert inv.stats() == ref.stats()
-        assert_grounded(inv, sketch.gram)
+        assert_grounded(real(), sketch.gram)
+
+    @given(hyper_streams(), st.floats(min_value=0.5, max_value=20.0))
+    @settings(max_examples=80, deadline=None)
+    def test_certified_hyperedges_have_p_one(self, case, rho):
+        # a fast hyperedge whose sketch degrees give rho * w >= min_x d_x
+        # (with the margin) is kept with p = 1, scored by w / min_x d_x,
+        # and its largest pair resistance confirms rho * score >= 1; its
+        # clique rows add (size - 1) w to each d_x, so rho above 1 is what
+        # certifies
+        n, cfg, _, stream = case
+        cfg = dataclasses.replace(cfg, variant="fast", rho=rho)
+        state = HyperSamplerState(n, cfg)
+        for e in stream:
+            certified = state.stats()["certified"]
+            decision = state.step(e)
+            if state.stats()["certified"] == certified:
+                continue
+            G = state.sampler.sketch.gram
+            d = min(G[x, x] for x in e.vertices)
+            assert decision.kept and decision.p == 1.0
+            assert decision.score == (e.w / d if d else math.inf)
+            assert min(1.0, cfg.rho * decision.score) == 1.0
+            labels = _components(G)
+            pairs = list(itertools.combinations(e.vertices, 2))
+            if all(labels[a] == labels[b] for a, b in pairs):
+                Gp = pseudo_inverse(G)
+                r = max(_resistance(Gp, a, b) for a, b in pairs)
+                assert cfg.rho * e.w * r >= 1.0
 
     def test_refreshes_on_a_long_stream(self):
         rng = np.random.default_rng(11)

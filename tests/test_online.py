@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from streamsparse import (Graph, Hyperedge, HyperSamplerConfig,
                           HyperSamplerState, IncidenceRow, OnlineConfig,
-                          OnlineSamplerState, StreamPipelineConfig,
-                          StreamSparsifier, TreeConfig, WeightedEdge,
+                          OnlineSamplerState, RobustWrapperState,
+                          SlidingWindowConfig, SlidingWindowState,
+                          StreamPipelineConfig, StreamSparsifier, TreeConfig,
+                          WeightedEdge,
                           default_c, exact_online_leverages, laplacian,
                           leverages, online_sparsify, pseudo_inverse,
                           rayleigh_error, stream_sparsify)
 from streamsparse.bench import gen_synthetic
-from streamsparse.graph import (_BLOCK, _REFRESH_EVERY, _components,
-                                _resistance, _stamp)
+from streamsparse.graph import (_BLOCK, _REFRESH_EVERY, _GroundedInverse,
+                                _components, _resistance, _stamp)
 
 from test_graph import assert_grounded, random_connected
 
@@ -68,7 +70,7 @@ class TestSamplerMechanics:
             assert kept or got < math.inf
             if kept:
                 _stamp(G, r.u, r.v, rw.scale ** 2)
-                assert_grounded(state._inverse, G)
+                assert_grounded(state._current(), G)
         assert state.kept_count < len(rows)
 
     def test_rejects_out_of_range_before_any_change(self):
@@ -78,7 +80,7 @@ class TestSamplerMechanics:
         for u, v in ((-1, 2), (2, 6), (1, 1)):
             with pytest.raises(ValueError):
                 state.process_row(IncidenceRow(u, v, 1.0))
-        assert state.kept_count == 0 and state.score_sum == 0.0
+        assert state.stats() == fresh.stats()
         assert [state.process_edge(e) for e in g.edges] == \
                [fresh.process_edge(e) for e in g.edges]
 
@@ -92,7 +94,6 @@ class TestSamplerMechanics:
         scale = math.sqrt(w) if w >= 0 else w
         with pytest.raises(ValueError):
             state.process_row(IncidenceRow(0, 1, scale))
-        assert state.kept_count == 0 and state.score_sum == 0.0
         assert state.stats() == fresh.stats()
         assert [state.process_edge(e) for e in g.edges] == \
                [fresh.process_edge(e) for e in g.edges]
@@ -141,14 +142,78 @@ class TestSamplerQuality:
         assert err < 1.0
 
     def test_score_sum_tracks_oracle(self):
-        # sampled score_sum uses the 2-approx sketch; it should land within
-        # a small constant of the exact online leverage sum
+        # the sum of the sketch scores taken before each row, each capped at
+        # 1 (a bridge's leverage; a row joining components scores inf), uses
+        # the 2-approx sketch; it should land within a small constant of
+        # the exact online leverage sum
         g = gen_synthetic(10, 400, seed=8)
         state = OnlineSamplerState(10, c=8 * math.log(400))
+        score_sum = 0.0
         for e in g.edges:
+            score_sum += min(state.score(IncidenceRow(e.u, e.v,
+                                                      math.sqrt(e.w))), 1.0)
             state.process_edge(e)
         exact = exact_online_leverages(g).sum()
-        assert 0.3 * exact < state.score_sum < 4.0 * exact
+        assert 0.3 * exact < score_sum < 4.0 * exact
+
+
+class TestCertifiedKeeps:
+    """A row whose sketch degrees give c * scale^2 >= min(d_u, d_v), with
+    a relative margin, is kept with p = 1 without a score or a draw."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=2, max_value=9),
+           st.floats(min_value=0.05, max_value=5.0))
+    @settings(max_examples=40, deadline=None)
+    def test_certified_rows_have_p_one(self, seed, n, c):
+        state = OnlineSamplerState(n, c, seed=seed)
+        certified = 0
+        for e in _stream(seed, n, 60):
+            G = state.sketch.gram.copy()
+            kept, out = state.process_edge(e)
+            if state.stats()["certified"] == certified:
+                continue
+            certified += 1
+            assert kept and state.last_p == 1.0 and out.w == e.w
+            if _components(G)[e.u] == _components(G)[e.v]:
+                ell = e.w * _resistance(pseudo_inverse(G), e.u, e.v)
+                assert c * ell >= 1.0
+        s = state.stats()
+        assert s["scored"] + s["certified"] == 60
+
+    def test_margin(self):
+        # after one unit row, d_0 = d_1 = 1 and the pair's resistance is 1:
+        # a row of weight w has c * leverage = w at c = 1, so p = 1 either
+        # way, but only w >= 1 + 1e-9 is certified
+        for w, certified in ((1.0, False), (1.0 + 5e-10, False),
+                             (1.0 + 2e-9, True)):
+            state = OnlineSamplerState(3, c=1.0)
+            state.process_edge(WeightedEdge(0, 1, 1.0))   # degree 0 certifies
+            kept, out = state.process_edge(WeightedEdge(0, 1, w))
+            s = state.stats()
+            assert (s["certified"], s["scored"]) == (1 + certified, 1 - certified)
+            assert kept and state.last_p == 1.0 and out.w == w
+
+    def test_certified_streams_never_touch_the_inverse(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the inverse was read")
+
+        for name in ("fold", "rebuild"):
+            monkeypatch.setattr(_GroundedInverse, name, boom)
+        monkeypatch.setattr(np.linalg, "inv", boom)
+        robust = RobustWrapperState(8, 0.5, inner=OnlineSamplerState(8, c=1e9))
+        for e in gen_synthetic(8, 200, seed=3).edges:
+            robust.step(e)
+        assert robust.stats()["inner"]["certified"] == 200
+        # eps = 1e-3 makes the carries' row multiplier c = 4e6 ln(rows)
+        window = SlidingWindowState(10, SlidingWindowConfig(
+            block_size=16, eps=1e-3, seed=2, rho=1e9))
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            verts = rng.choice(10, size=int(rng.integers(2, 5)), replace=False)
+            window.push(Hyperedge(tuple(int(x) for x in verts),
+                                  float(rng.uniform(1.0, 10.0))))
+        assert window.carries > 8 and window.stored() == 200
 
 
 class TestProviderMode:
@@ -186,7 +251,8 @@ class TestProviderMode:
         for e in g.edges:
             pipe.push(e)
         assert pipe.stats() == {
-            "sampler": {"scored": 3000, "kept": 1177, "folds": 1172,
+            "sampler": {"scored": 3000, "certified": 0, "kept": 1177,
+                        "folds": 1172,
                         "block_folds": 37, "joins": 19, "refreshes": 6,
                         "drift": 0.0},
             "tree": {"pushed": 1177, "carries": 11, "merges": 8,
@@ -212,12 +278,14 @@ class TestBlockedInverse:
            st.integers(min_value=3 * _BLOCK + 1, max_value=5 * _BLOCK))
     @settings(max_examples=25, deadline=None)
     def test_self_sketch(self, seed, m):
-        state = OnlineSamplerState(7, c=1e9, seed=seed)    # keeps every row
+        # every row is certified and kept; a read after each row folds it
+        state = OnlineSamplerState(7, c=1e9, seed=seed)
         for e in _stream(seed, 7, m):
             state.process_edge(e)
-            assert_grounded(state._inverse, state.sketch.gram)
+            assert_grounded(state._current(), state.sketch.gram)
         s = state.stats()
-        assert s["folds"] == s["kept"] == m and s["block_folds"] >= 2
+        assert s["certified"] == s["folds"] == s["kept"] == m
+        assert s["block_folds"] >= 2
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=2 * _BLOCK + 1, max_value=3 * _BLOCK))
@@ -244,23 +312,53 @@ class TestBlockedInverse:
 class TestStats:
     def test_self_sketch_counters_add_up(self):
         # a spanning path of _BLOCK joins first, then rows inside the one
-        # component; a refresh follows every _REFRESH_EVERY-th fold and
-        # clears the block, which _REFRESH_EVERY - _BLOCK leaves aligned
+        # component. Read after every row, the inverse folds each kept row
+        # at once: a refresh follows every _REFRESH_EVERY-th fold and clears
+        # the block, which _REFRESH_EVERY - _BLOCK leaves aligned
         n = _BLOCK + 1
         g = Graph(n, [WeightedEdge(i, i + 1, 2.0) for i in range(n - 1)]
                   + gen_synthetic(n, 3000, seed=3).edges)
         state = OnlineSamplerState(n, c=20.0, seed=1)
+        lazy = OnlineSamplerState(n, c=20.0, seed=1)
         for e in g.edges:
             state.process_edge(e)
+            state._current()
+            lazy.process_edge(e)
         s = state.stats()
-        assert s["scored"] == g.m
+        assert s["scored"] + s["certified"] == g.m
+        assert s["scored"] > 0 and s["certified"] > n - 1
         assert s["folds"] == s["kept"] == len(state.sketch)
         assert _REFRESH_EVERY < s["kept"] < g.m
         assert s["joins"] == n - 1
         assert s["refreshes"] == s["folds"] // _REFRESH_EVERY
         assert s["block_folds"] == (s["folds"] - s["joins"]) // _BLOCK
         assert 0.0 < s["drift"] < 1e-8
-        assert_grounded(state._inverse, state.sketch.gram)
+        assert_grounded(state._current(), state.sketch.gram)
+        # left alone, the inverse catches up only when a score reads it,
+        # folding a short run of kept rows and rebuilding after a long one;
+        # the same rows are certified, scored and kept
+        t = lazy.stats()
+        for key in ("scored", "certified", "kept"):
+            assert t[key] == s[key]
+        assert t["folds"] < t["kept"] and t["refreshes"] > 0
+        assert [(u, v) for u, v, _ in lazy.kept_edges] == \
+               [(u, v) for u, v, _ in state.kept_edges]
+        np.testing.assert_allclose([w for _, _, w in lazy.kept_edges],
+                                   [w for _, _, w in state.kept_edges],
+                                   rtol=1e-9)
+        assert_grounded(lazy._current(), lazy.sketch.gram)
+
+    def test_keys_before_the_first_read(self):
+        # a stream the degrees certify row by row never reads the inverse;
+        # stats() has every key, the inverse's counters at zero
+        g = gen_synthetic(6, 50, seed=1)
+        state = OnlineSamplerState(6, c=1e9)
+        fresh = state.stats()
+        assert set(fresh) == {"scored", "certified", "kept", "folds",
+                              "block_folds", "joins", "refreshes", "drift"}
+        for e in g.edges:
+            state.process_edge(e)
+        assert state.stats() == {**fresh, "certified": g.m, "kept": g.m}
 
     def test_provider_counters_add_up(self):
         g = gen_synthetic(20, 3000, seed=4)

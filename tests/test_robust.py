@@ -136,9 +136,11 @@ class TestStats:
                      "graph_wrapper": state.graph_wrapper.stats(),
                      "sampler": state.sampler.stats()}
         # one exposed switch per step in which the graph wrapper switched
-        # at least once; every clique pair is one scored graph row
+        # at least once; every clique pair is one graph row, scored or
+        # certified
         assert 1 <= s["switches"] <= s["graph_wrapper"]["switches"]
-        assert s["graph_wrapper"]["inner"]["scored"] == pairs
+        inner = s["graph_wrapper"]["inner"]
+        assert inner["scored"] + inner["certified"] == pairs
         assert s["sampler"]["seen"] == 60
         assert s["sampler"]["kept"] == state.sampler.sparsifier().m
 
