@@ -2,9 +2,8 @@
 
 from .graph import (DisconnectedError, Graph, IncidenceRow, KernelMismatchError,
                     SpectralSketch, WeightedEdge,
-                    effective_resistance, incidence_matrix, laplacian,
-                    leverage, leverages, pseudo_inverse, pseudo_solve,
-                    rayleigh_error)
+                    effective_resistance, laplacian, leverage, leverages,
+                    pseudo_inverse, pseudo_solve, rayleigh_error)
 from .offline import OfflineSampleConfig, er_sparsify, keep_probabilities
 from .online import (OnlineSamplerState, default_c, exact_online_leverages,
                      online_sparsify)
@@ -21,8 +20,7 @@ from .balance import (BalanceConfig, BalanceError, WeightAssignment,
                       get_weight_assignment, is_balanced, st_potential)
 from .window import (SlidingWindowConfig, SlidingWindowState, sw_push,
                      sw_query)
-from .mincut import (CapabilityError, Cut, MinCutPipelineConfig, cut_value,
-                     enumerate_near_min_cuts, exact_mincut, stoer_wagner,
+from .mincut import (Cut, MinCutPipelineConfig, cut_value, stoer_wagner,
                      stream_mincut)
 from .robust import (AdversaryScript, RobustHyperWrapperState,
                      RobustWrapperState, Transcript, play_game)

@@ -52,9 +52,6 @@ class WeightAssignment:
     z: np.ndarray
     trace: list[np.ndarray] = field(default_factory=list)  # z after each shift
 
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return {p: float(zi) for p, zi in zip(self.pairs, self.z)}
-
 
 def clique_pairs(vertices) -> list[tuple[int, int]]:
     return list(itertools.combinations(sorted(vertices), 2))

@@ -350,8 +350,9 @@ def _tune(cfg: ExperimentConfig, method: str, budget: int,
     every block b with 2 * b > P on its trial. Both rules are exact: the
     block size is read only by the carry test and the reductions a carry
     starts, and a carry that only parks the block at an empty level 0
-    changes neither the items, their order nor the Gram, and reports no
-    merge to the streaming sampler. So up to the first merge, at push
+    changes neither the items, their order nor the Gram, and does not
+    mark the tower's grounded inverse for a rebuild, so the streaming
+    sampler's reads take in the same rows. So up to the first merge, at push
     2 * b, the tower the streaming sampler scores against, and hence every
     keep and the peak count, are the same for any block; with 2 * b > P
     that push never comes. The height, not merges, marks a merge, since the identity

@@ -147,7 +147,7 @@ def _components(G: np.ndarray) -> np.ndarray:
 
 _REFRESH_EVERY = 512   # folds between full refreshes of a maintained inverse
 _BLOCK = 32            # pending rank-1 terms folded into M by one GEMM
-_CATCH_UP = 16         # unfolded sketch rows a read folds; more rebuild it
+_CATCH_UP = 16         # noted rows a catch-up folds; more rebuild it
 
 
 class _GroundedInverse:
@@ -176,6 +176,12 @@ class _GroundedInverse:
     root. Readers go through resistance() and block(), never M alone.
     Every refresh_every folds, maybe_refresh recomputes M as inv(G / s + Q)
     and records the drift of the inverse it replaces.
+
+    An owner whose Gram matrix grows (a SpectralSketch, a MergeReduceTree)
+    keeps its inverse current by one rule: it notes each row it stamps onto
+    G, marks a change of any other kind, and calls catch_up(G) only when a
+    reader needs the inverse. Up to _CATCH_UP noted rows fold in, in order;
+    more, or a marked change, are taken in by one rebuild from G.
     """
 
     def __init__(self, n: int, refresh_every: int):
@@ -193,6 +199,7 @@ class _GroundedInverse:
         self.joins = 0
         self.refreshes = 0
         self.drift = 0.0
+        self._unread: list | None = []      # noted rows; None: rebuild
 
     # -- reads ---------------------------------------------------------
 
@@ -270,6 +277,38 @@ class _GroundedInverse:
         self.folds += 1
         self._since_refresh += 1
 
+    # -- following a growing Gram matrix -------------------------------
+
+    def note(self, u: int, v: int, t: float) -> None:
+        """Record that t d d^T, d = e_u - e_v, was stamped onto G since the
+        last catch_up. Past _CATCH_UP rows, the next catch_up rebuilds."""
+        unread = self._unread
+        if unread is None:
+            return
+        if len(unread) < _CATCH_UP:
+            unread.append((u, v, t))
+        else:
+            self._unread = None
+
+    def mark_rebuild(self) -> None:
+        """Record that G changed by more than noted rows: the next catch_up
+        rebuilds."""
+        self._unread = None
+
+    def catch_up(self, G: np.ndarray) -> _GroundedInverse:
+        """Take in the changes recorded since the last catch_up, G the Gram
+        matrix now, and return self: fold the noted rows in order, then
+        maybe_refresh, or rebuild(G) after a mark or too many rows."""
+        if self._unread is None:
+            self.rebuild(G)
+            self._unread = []
+        elif self._unread:
+            for u, v, t in self._unread:
+                self.fold(u, v, t)
+            self._unread.clear()
+            self.maybe_refresh(G)
+        return self
+
     def _fold_block(self) -> None:
         Y = self._Y[:, :self._pending]
         self.M -= Y @ Y.T
@@ -323,15 +362,6 @@ def _grounded_inverse_of(G: np.ndarray) -> _GroundedInverse:
 def laplacian(g: Graph) -> np.ndarray:
     """Dense weighted Laplacian; multi-edges add up."""
     return _accumulate(np.zeros((g.n, g.n)), *_columns(g.edges))
-
-
-def incidence_matrix(g: Graph) -> np.ndarray:
-    """Rows sqrt(w)*(chi_u - chi_v) in arrival order; L = A^T A."""
-    A = np.zeros((g.m, g.n))
-    for i, e in enumerate(g.edges):
-        A[i, e.u] = math.sqrt(e.w)
-        A[i, e.v] = -math.sqrt(e.w)
-    return A
 
 
 # eigenvalues <= _EIG_TOL * lambda_max count as zero in every pseudo-inverse
@@ -418,38 +448,34 @@ class SpectralSketch:
     """A running set of reweighted incidence rows; the Gram matrix of the
     rows approximates a Laplacian and drives sampling probabilities.
 
-    append only checks, records and stamps a row. Resistances on the sketch
-    are read from one grounded inverse of the Gram matrix
-    (_GroundedInverse), which catches up only when _grounded_inverse()
-    reads it: up to _CATCH_UP unfolded rows fold in, in order; more are
-    taken in by one rebuild from the Gram matrix."""
+    append only checks, records, stamps and notes a row. Resistances on the
+    sketch are read from one grounded inverse of the Gram matrix
+    (_GroundedInverse), which catches up on the noted rows only when
+    _grounded_inverse() reads it."""
 
     def __init__(self, n: int):
         self.n = n
         self.rows: list[IncidenceRow] = []
         self._gram = np.zeros((n, n))
         self._inverse = _GroundedInverse(n, _REFRESH_EVERY)
-        self._folded = 0                    # rows the inverse has taken in
 
     def _grounded_inverse(self) -> _GroundedInverse:
         """The grounded inverse with every row appended so far taken in."""
-        inv, pending = self._inverse, len(self.rows) - self._folded
-        if pending > _CATCH_UP:
-            inv.rebuild(self._gram)
-        elif pending:
-            for u, v, s in self.rows[self._folded:]:
-                inv.fold(u, v, s * s)
-            inv.maybe_refresh(self._gram)
-        self._folded = len(self.rows)
-        return inv
+        return self._inverse.catch_up(self._gram)
 
     def append(self, row: IncidenceRow) -> None:
         """Add row to the sketch. A self-loop, an endpoint outside [0, n)
         or a scale outside (0, inf) raises ValueError before any change."""
         _check_row(row, self.n)
+        self._append(row)
+
+    def _append(self, row: IncidenceRow) -> None:
+        """append for a row its caller has already checked."""
         self.rows.append(row)
         u, v, s = row
-        _stamp(self._gram, u, v, s * s)
+        t = s * s
+        _stamp(self._gram, u, v, t)
+        self._inverse.note(u, v, t)
 
     @property
     def gram(self) -> np.ndarray:

@@ -5,6 +5,13 @@ items; a full buffer becomes a level-1 block, and whenever two coresets meet
 at a level they are merged and reduced (effective-resistance sampling) into
 the next level. The union of all levels plus the buffer is a sparsifier of
 everything pushed so far.
+
+In working-memory mode (StreamSparsifier with use_tree_sketch) the tower's
+sparsifier is also the online sampler's scoring sketch. The tower then
+serves it as a SpectralSketch does: gram, built on the first read after a
+merge and stamped by pushes, and one grounded inverse of it that a push
+notes its row to, a merging carry marks for a rebuild, and a score catches
+up when it reads it.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import (Graph, WeightedEdge, _accumulate, _columns, _stamp,
-                    _unchecked_graph)
+from .graph import (Graph, WeightedEdge, _GroundedInverse, _REFRESH_EVERY,
+                    _accumulate, _columns, _stamp, _unchecked_graph)
 from .offline import OfflineSampleConfig, er_sparsify
 from .online import OnlineSamplerState, default_c
 from .rng import spawn_seed
@@ -57,6 +64,8 @@ class MergeReduceTree:
         self._resident = 0          # len(buffer) + sum of level lengths
         self._gram: np.ndarray | None = None   # built on first read after a merge
         self._gram_builds = 0
+        self._inverse = _GroundedInverse(n, _REFRESH_EVERY)
+        self._inverse.mark_rebuild()           # pushes before a Gram go unnoted
 
     # -- resident accounting -------------------------------------------
 
@@ -68,6 +77,7 @@ class MergeReduceTree:
 
     # -- scoring sketch and counters -----------------------------------
 
+    @property
     def gram(self) -> np.ndarray:
         """Gram matrix of the current sparsifier's incidence rows: the
         scoring sketch of a StreamSparsifier with use_tree_sketch.
@@ -83,6 +93,12 @@ class MergeReduceTree:
                                      *_columns(list(self._iter_items())))
             self._gram_builds += 1
         return self._gram
+
+    def _grounded_inverse(self) -> _GroundedInverse:
+        """The grounded inverse of gram with every push so far taken in: the
+        rows stamped since the last read fold in, or, after a merging carry,
+        it is rebuilt (see _GroundedInverse.catch_up)."""
+        return self._inverse.catch_up(self.gram)
 
     def stats(self) -> dict:
         """Counters of this tower, as a plain dict: items pushed, carries
@@ -105,13 +121,12 @@ class MergeReduceTree:
         return er_sparsify(_unchecked_graph(self.n, items),
                            OfflineSampleConfig(rho, seed)).edges
 
-    def push(self, item: WeightedEdge) -> bool:
-        """Add one edge; return whether the push ended in a carry that
-        merged. Otherwise the Gram gained exactly the edge's row; after a
-        merge it is rebuilt on its next read. A self-loop, an endpoint
-        outside [0, n) or a weight outside (0, inf) raises ValueError before
-        any state changes; the tower's coresets and sparsifier are then
-        built unchecked."""
+    def push(self, item: WeightedEdge) -> None:
+        """Add one edge. Unless the push ends in a carry that merged, the
+        Gram gains exactly the edge's row; after a merge it is rebuilt on
+        its next read. A self-loop, an endpoint outside [0, n) or a weight
+        outside (0, inf) raises ValueError before any state changes; the
+        tower's coresets and sparsifier are then built unchecked."""
         u, v, w = item
         if not (0 <= u < self.n and 0 <= v < self.n and u != v
                 and 0 < w < math.inf):
@@ -121,15 +136,16 @@ class MergeReduceTree:
         self._resident += 1
         if self._gram is not None:
             _stamp(self._gram, u, v, w)
+            self._inverse.note(u, v, w)
         self._note_peak()
         if len(self.buffer) < self.cfg.block_size:
-            return False
+            return
         block = self.buffer
         self.buffer = []
         self._resident -= len(block)
-        return self._carry(block)
+        self._carry(block)
 
-    def _carry(self, coreset: list[WeightedEdge]) -> bool:
+    def _carry(self, coreset: list[WeightedEdge]) -> None:
         # the block in hand and the level being merged are not resident
         self.carries += 1
         lvl = 0
@@ -150,8 +166,8 @@ class MergeReduceTree:
             # a carry that parks the block at level 0 leaves the items and
             # their order as they were: not a sketch change
             self._gram = None
+            self._inverse.mark_rebuild()
         self._note_peak()
-        return lvl > 0
 
     def _iter_items(self):
         for c in reversed(self.levels):
@@ -208,17 +224,15 @@ class StreamSparsifier:
         if c is None:
             c = default_c(cfg.m_hint or 1024, cfg.online.eps)
         self.tree = MergeReduceTree(n, cfg.tree)
-        provider = self.tree if cfg.use_tree_sketch else None
-        self.sampler = OnlineSamplerState(n, c, seed=cfg.online.seed,
-                                          provider=provider)
+        self.sampler = OnlineSamplerState(
+            n, c, seed=cfg.online.seed,
+            sketch=self.tree if cfg.use_tree_sketch else None)
         self.max_resident = 0
 
     def push(self, e: WeightedEdge) -> None:
         kept, reweighted = self.sampler.process_edge(e)
         if kept:
-            merged = self.tree.push(reweighted)
-            if self.cfg.use_tree_sketch:
-                self.sampler.sketch_changed(None if merged else reweighted)
+            self.tree.push(reweighted)
         resident = self.tree.resident()
         if not self.cfg.use_tree_sketch:
             resident += len(self.sampler.sketch)

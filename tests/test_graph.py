@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from streamsparse import (DisconnectedError, Graph, IncidenceRow,
                           KernelMismatchError, SpectralSketch, WeightedEdge,
-                          effective_resistance, incidence_matrix, laplacian,
+                          effective_resistance, laplacian,
                           leverage, leverages, pseudo_inverse, pseudo_solve,
                           rayleigh_error)
 from streamsparse import graph
@@ -26,6 +26,15 @@ def triangle(w=1.0):
 
 def path(n, w=1.0):
     return Graph(n, [WeightedEdge(i, i + 1, w) for i in range(n - 1)])
+
+
+def incidence_matrix(g: Graph) -> np.ndarray:
+    """Oracle: rows sqrt(w)*(chi_u - chi_v) in arrival order; L = A^T A."""
+    A = np.zeros((g.m, g.n))
+    for i, e in enumerate(g.edges):
+        A[i, e.u] = math.sqrt(e.w)
+        A[i, e.v] = -math.sqrt(e.w)
+    return A
 
 
 def random_connected(rng, n, extra=5):
@@ -281,7 +290,7 @@ class TestGroundedInverse:
     @settings(max_examples=40, deadline=None)
     def test_block_and_rebuild_at_any_scale(self, seed, decade):
         # weights W * U(1, 2) for W = 10^decade: the inverse and the reads
-        # are scale-free; a fresh build from the Gram matrix (provider mode)
+        # are scale-free; a fresh build from the Gram matrix (a rebuild)
         # reads the same resistances and blocks
         rng = np.random.default_rng(seed)
         n, W = 7, 10.0 ** decade

@@ -294,7 +294,7 @@ class TestSamplers:
         assert rows["scored"] + rows["certified"] == sum(
             e.size * (e.size - 1) // 2 for e in h.hyperedges)
         assert rows["scored"] > 0 and rows["certified"] > 0
-        inv = state.sampler._current()
+        inv = state.sampler.sketch._grounded_inverse()
         assert inv.components == np.unique(
             _components(state.sampler.sketch.gram)).size
 
@@ -366,7 +366,7 @@ class TestMaintainedScores:
             G = state.sampler.sketch.gram
             labels = _components(G)
             inv = state.sampler.sketch._grounded_inverse()
-            assert inv is state.sampler._inverse
+            assert inv is state.sampler.sketch._inverse
             assert_grounded(inv, G)
             Gp = pseudo_inverse(G)
             for x, y in zip(a, b):
@@ -409,7 +409,7 @@ class TestMaintainedScores:
                 mirror.append(row)
             ref = mirror._grounded_inverse()
         inv = sketch._inverse
-        assert inv is state.sampler._inverse
+        assert inv is state.sampler.sketch._inverse
         assert inv.refreshes >= 1 and state.stats()["shifts"] > 0
         assert len(reads) >= state.seen
         assert np.array_equal(inv.M, ref.M)

@@ -290,7 +290,7 @@ class TestProbeCache:
                 mp.setattr(bench, "StreamSparsifier", Recorded)
                 out = _run_streaming(trial, c, block)
             sampler = pipes[-1].sampler
-            sampler._current()      # take in the last push
+            sampler.sketch._grounded_inverse()   # take in the last push
             return (*out, sampler)
 
         stored, g, tree, sampler = run(m + 1)
@@ -306,7 +306,7 @@ class TestProbeCache:
             assert stored2 == stored and g2.edges == g.edges
             if sampler is not None:
                 assert sampler2.stats() == sampler.stats()
-                inv2, inv = sampler2._inverse, sampler._inverse
+                inv2, inv = sampler2.sketch._inverse, sampler.sketch._inverse
                 assert np.array_equal(inv2.M, inv.M)
                 assert np.array_equal(inv2._Y, inv._Y)
         if pushes >= 2:

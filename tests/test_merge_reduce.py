@@ -46,20 +46,27 @@ class TestTowerStructure:
 
     @pytest.mark.parametrize("identity", [False, True])
     def test_push_reports_merging_carries(self, identity):
-        # a push merges when it fills the buffer while level 0 is occupied;
-        # the identity reducer counts no merges, hence the occupancy test
+        # a push merges when it fills the buffer while level 0 is occupied,
+        # and only such a push marks the tower's inverse for a rebuild; any
+        # other one notes its row. The identity reducer counts no merges,
+        # hence the occupancy test
         tree = MergeReduceTree(10, TreeConfig(block_size=8, seed=1,
                                               identity_reducer=identity))
+        tree._grounded_inverse()
         merged_pushes = 0
         for e in gen_synthetic(10, 200, seed=3).edges:
             fills = len(tree.buffer) == tree.cfg.block_size - 1
             occupied = tree.height > 0 and tree.levels[0] is not None
             merges = tree.merges
-            merged = tree.push(e)
+            tree.push(e)
+            merged = tree._inverse._unread is None
             assert merged is (fills and occupied)
             if not identity:
                 assert merged == (tree.merges > merges)
+            if not merged:
+                assert tree._inverse._unread == [(e.u, e.v, e.w)]
             merged_pushes += merged
+            tree._grounded_inverse()
         assert merged_pushes == tree.carries // 2 > 0
 
     def test_identity_union_exact(self):
@@ -80,8 +87,8 @@ class TestTowerStructure:
         tree, fresh = MergeReduceTree(3, cfg), MergeReduceTree(3, cfg)
         tree.push(WeightedEdge(0, 1, 1.0))
         fresh.push(WeightedEdge(0, 1, 1.0))
-        tree.gram()
-        fresh.gram()
+        tree.gram
+        fresh.gram
         with pytest.raises(ValueError):
             tree.push(WeightedEdge(*bad))
         for e in unit_edges(7):
@@ -89,7 +96,7 @@ class TestTowerStructure:
             fresh.push(e)
         assert tree.stats() == fresh.stats()
         assert tree.sparsifier() == fresh.sparsifier()
-        assert np.array_equal(tree.gram(), fresh.gram())
+        assert np.array_equal(tree.gram, fresh.gram)
 
 
 class TestSpaceAccounting:
@@ -142,10 +149,10 @@ class TestLazyGram:
             assert tree.resident() == (len(tree.buffer)
                                        + sum(len(c) for c in tree.levels if c))
             if read_every and i % read_every == 0:
-                assert np.array_equal(tree.gram(), laplacian(tree.sparsifier()))
+                assert np.array_equal(tree.gram, laplacian(tree.sparsifier()))
         if not read_every:
             assert tree.stats()["gram_builds"] == 0
-        assert np.array_equal(tree.gram(), laplacian(tree.sparsifier()))
+        assert np.array_equal(tree.gram, laplacian(tree.sparsifier()))
 
     def test_unread_gram_is_never_built(self):
         g = gen_synthetic(10, 500, seed=1)
@@ -285,13 +292,15 @@ class TestPipelineStats:
             pipe.push(e)
             if pipe.tree.carries > carries:
                 carries = pipe.tree.carries
-                pipe.tree.gram()
+                pipe.tree.gram
         s = pipe.stats()
         assert s == {"sampler": pipe.sampler.stats(),
                      "tree": pipe.tree.stats(),
                      "max_resident": pipe.max_resident}
         t = s["tree"]
-        assert s["sampler"]["scored"] == g.m
+        # every row is certified from the tower's degrees or scored
+        assert s["sampler"]["scored"] + s["sampler"]["certified"] == g.m
+        assert s["sampler"]["certified"] > 0
         assert s["sampler"]["kept"] == t["pushed"]
         assert t["carries"] == t["pushed"] // block >= 4
         # a binary counter: k carries leave popcount(k) blocks, one merge

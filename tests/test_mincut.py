@@ -1,14 +1,71 @@
-"""Exact min-cut oracles and the streaming approximation."""
+"""Stoer-Wagner and the streaming approximation, checked against
+exhaustive cut oracles."""
 
 import numpy as np
 import pytest
 
-from streamsparse import (CapabilityError, Graph, MinCutPipelineConfig,
-                          WeightedEdge, cut_value, enumerate_near_min_cuts,
-                          exact_mincut, stoer_wagner, stream_mincut)
+from streamsparse import (Cut, Graph, MinCutPipelineConfig, WeightedEdge,
+                          cut_value, stoer_wagner, stream_mincut)
 from streamsparse.bench import gen_synthetic
 
 from test_graph import random_connected
+
+
+# -- oracles: exhaustive cut enumeration over vertex bitmasks -------------
+
+_BRUTE_FORCE_MAX = 10    # exact_mincut switches to Stoer-Wagner above this
+_ENUMERATE_MAX = 20      # hard cap for exhaustive cut enumeration
+
+
+class CapabilityError(ValueError):
+    """The requested exact computation is beyond the supported size."""
+
+
+def _all_cut_values(g: Graph) -> np.ndarray:
+    """Value of every proper cut, indexed by the bitmask over vertices
+    0..n-2 (vertex n-1 is pinned to the zero side to kill mirror images)."""
+    masks = np.arange(1 << (g.n - 1), dtype=np.int64)
+    values = np.zeros(masks.shape[0])
+    for u, v, w in g.edges:
+        bu = (masks >> u) & 1 if u < g.n - 1 else np.zeros_like(masks)
+        bv = (masks >> v) & 1 if v < g.n - 1 else np.zeros_like(masks)
+        values += w * (bu != bv)
+    return values
+
+
+def _mask_side(mask: int, n: int) -> frozenset[int]:
+    return frozenset(i for i in range(n - 1) if (mask >> i) & 1)
+
+
+def exact_mincut(g: Graph) -> Cut:
+    """Minimum-weight global cut: brute force for small n, Stoer-Wagner
+    otherwise. Disconnected input yields a zero-value cut."""
+    if g.n < 2:
+        raise ValueError("min cut needs at least two vertices")
+    if g.n <= _BRUTE_FORCE_MAX:
+        values = _all_cut_values(g)
+        best = int(values[1:].argmin()) + 1
+        return Cut(_mask_side(best, g.n), float(values[best]))
+    return stoer_wagner(g)
+
+
+def enumerate_near_min_cuts(g: Graph, factor: float) -> list[Cut]:
+    """All proper cuts with value <= factor * min cut value. Exhaustive;
+    guarded to n <= 20."""
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    if g.n > _ENUMERATE_MAX:
+        raise CapabilityError(
+            f"cut enumeration supports n <= {_ENUMERATE_MAX}, got {g.n}")
+    values = _all_cut_values(g)
+    cstar = values[1:].min()
+    # tiny slack so factor=1 reliably includes ties under float weights
+    cutoff = factor * cstar * (1.0 + 1e-12) + 1e-12
+    return [Cut(_mask_side(int(i), g.n), float(values[i]))
+            for i in np.flatnonzero(values <= cutoff) if i > 0]
+
+
+# -- tests ----------------------------------------------------------------
 
 
 def cycle(n, w=1.0):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamsparse import (Graph, Hyperedge, HyperSamplerConfig,
-                          HyperSamplerState, IncidenceRow, OnlineConfig,
+                          HyperSamplerState, IncidenceRow, MergeReduceTree,
+                          OnlineConfig,
                           OnlineSamplerState, RobustWrapperState,
                           SlidingWindowConfig, SlidingWindowState,
                           StreamPipelineConfig, StreamSparsifier, TreeConfig,
@@ -70,7 +71,7 @@ class TestSamplerMechanics:
             assert kept or got < math.inf
             if kept:
                 _stamp(G, r.u, r.v, rw.scale ** 2)
-                assert_grounded(state._current(), G)
+                assert_grounded(state.sketch._grounded_inverse(), G)
         assert state.kept_count < len(rows)
 
     def test_rejects_out_of_range_before_any_change(self):
@@ -163,23 +164,31 @@ class TestCertifiedKeeps:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=2, max_value=9),
-           st.floats(min_value=0.05, max_value=5.0))
-    @settings(max_examples=40, deadline=None)
-    def test_certified_rows_have_p_one(self, seed, n, c):
-        state = OnlineSamplerState(n, c, seed=seed)
+           st.floats(min_value=0.05, max_value=5.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_certified_rows_have_p_one(self, seed, n, c, tower):
+        # on the sampler's own sketch, or on the tower's: with blocks of
+        # one edge, every kept row carries and every other carry merges
+        pipe = StreamSparsifier(n, StreamPipelineConfig(
+            online=OnlineConfig(c=c, seed=seed),
+            tree=TreeConfig(block_size=1, seed=seed), use_tree_sketch=tower))
+        state = pipe.sampler
         certified = 0
         for e in _stream(seed, n, 60):
             G = state.sketch.gram.copy()
-            kept, out = state.process_edge(e)
+            kept = state.kept_count
+            pipe.push(e)
             if state.stats()["certified"] == certified:
                 continue
             certified += 1
-            assert kept and state.last_p == 1.0 and out.w == e.w
+            assert state.kept_count == kept + 1 and state.last_p == 1.0
+            assert state.kept_edges[-1].w == e.w
             if _components(G)[e.u] == _components(G)[e.v]:
                 ell = e.w * _resistance(pseudo_inverse(G), e.u, e.v)
                 assert c * ell >= 1.0
         s = state.stats()
         assert s["scored"] + s["certified"] == 60
+        assert pipe.tree.merges >= pipe.tree.pushed // 2
 
     def test_margin(self):
         # after one unit row, d_0 = d_1 = 1 and the pair's resistance is 1:
@@ -217,43 +226,51 @@ class TestCertifiedKeeps:
 
 
 class TestProviderMode:
+    """The sampler on a sketch it does not own: the tower of a
+    StreamSparsifier in working-memory mode."""
+
     def test_external_sketch_used(self):
-        class FixedProvider:
-            def __init__(self, G):
-                self._G = G
-
-            def gram(self):
-                return self._G
-
-        # two components: {0..5} and the pair {6, 7}
+        # two components: {0..5} and the pair {6, 7}; scores read the
+        # tower's Gram, and processing rows leaves the tower as it was
         g = gen_synthetic(6, 60, seed=3)
-        G = laplacian(Graph(8, g.edges + [WeightedEdge(6, 7, 2.5)]))
-        state = OnlineSamplerState(8, c=2.0, provider=FixedProvider(G))
+        tree = MergeReduceTree(8, TreeConfig(block_size=16,
+                                             identity_reducer=True))
+        for e in g.edges + [WeightedEdge(6, 7, 2.5)]:
+            tree.push(e)
+        G = tree.gram.copy()
+        np.testing.assert_allclose(
+            G, laplacian(Graph(8, g.edges + [WeightedEdge(6, 7, 2.5)])),
+            atol=1e-12)
+        state = OnlineSamplerState(8, c=2.0, sketch=tree)
         Gp = pseudo_inverse(G)
         for u, v in ((0, 1), (2, 5), (6, 7)):
             want = 1.5 * _resistance(Gp, u, v)
             got = state.score(IncidenceRow(u, v, math.sqrt(1.5)))
             assert got == pytest.approx(want, rel=1e-9)
         assert state.score(IncidenceRow(0, 7, 1.0)) == math.inf
-        assert_grounded(state._inverse, G)
+        assert_grounded(tree._inverse, G)
         assert state.stats()["refreshes"] == 1
+        for e in gen_synthetic(8, 40, seed=5).edges:
+            state.process_edge(e)
+        assert state.kept_count > 0 and tree.pushed == g.m + 1
+        assert np.array_equal(tree.gram, G)
 
     def test_keeps_no_sketch_of_its_own(self):
         # the tower's Gram is the scoring sketch, so the sampler builds
-        # none; the counters and the kept edges are those of a sampler that
-        # kept an unused empty sketch
+        # none; it certifies rows from the tower's degrees and keeps the
+        # same edges as when it scored every row
         g = gen_synthetic(20, 3000, seed=4)
         cfg = StreamPipelineConfig(
             online=OnlineConfig(c=20.0, seed=2), tree=TreeConfig(block_size=100),
             use_tree_sketch=True, m_hint=g.m)
         pipe = StreamSparsifier(g.n, cfg)
-        assert pipe.sampler.sketch is None
+        assert pipe.sampler.sketch is pipe.tree
         for e in g.edges:
             pipe.push(e)
         assert pipe.stats() == {
-            "sampler": {"scored": 3000, "certified": 0, "kept": 1177,
-                        "folds": 1172,
-                        "block_folds": 37, "joins": 19, "refreshes": 6,
+            "sampler": {"scored": 2774, "certified": 226, "kept": 1177,
+                        "folds": 1093,
+                        "block_folds": 32, "joins": 0, "refreshes": 6,
                         "drift": 0.0},
             "tree": {"pushed": 1177, "carries": 11, "merges": 8,
                      "resident": 362, "peak_resident": 402, "gram_builds": 6},
@@ -282,7 +299,7 @@ class TestBlockedInverse:
         state = OnlineSamplerState(7, c=1e9, seed=seed)
         for e in _stream(seed, 7, m):
             state.process_edge(e)
-            assert_grounded(state._current(), state.sketch.gram)
+            assert_grounded(state.sketch._grounded_inverse(), state.sketch.gram)
         s = state.stats()
         assert s["certified"] == s["folds"] == s["kept"] == m
         assert s["block_folds"] >= 2
@@ -291,22 +308,24 @@ class TestBlockedInverse:
            st.integers(min_value=2 * _BLOCK + 1, max_value=3 * _BLOCK))
     @settings(max_examples=15, deadline=None)
     def test_provider_tower(self, seed, block):
+        # every row is certified and pushed; a merging push marks the
+        # tower's inverse for a rebuild, any other one notes its row, and a
+        # read after every push takes it in
         cfg = StreamPipelineConfig(
             online=OnlineConfig(c=1e9, seed=seed),
             tree=TreeConfig(block_size=block, seed=seed), use_tree_sketch=True)
         pipe = StreamSparsifier(7, cfg)
+        tree = pipe.tree
+        tree._grounded_inverse()
         for e in _stream(seed, 7, 3 * block + 3):
-            merges = pipe.tree.merges
+            merges = tree.merges
             pipe.push(e)
-            # a merging push marks the inverse for a rebuild; any other one
-            # folds its row
-            if pipe.tree.merges > merges:
-                assert pipe.sampler._stale
-            else:
-                assert not pipe.sampler._stale
-                assert_grounded(pipe.sampler._inverse, pipe.tree.gram())
+            marked = tree._inverse._unread is None
+            assert marked == (tree.merges > merges)
+            assert_grounded(tree._grounded_inverse(), tree.gram)
         s = pipe.sampler.stats()
-        assert s["block_folds"] >= 2 and pipe.tree.merges >= 1
+        assert s["certified"] == s["kept"] == 3 * block + 3
+        assert s["block_folds"] >= 2 and tree.merges >= 1
 
 
 class TestStats:
@@ -322,7 +341,7 @@ class TestStats:
         lazy = OnlineSamplerState(n, c=20.0, seed=1)
         for e in g.edges:
             state.process_edge(e)
-            state._current()
+            state.sketch._grounded_inverse()
             lazy.process_edge(e)
         s = state.stats()
         assert s["scored"] + s["certified"] == g.m
@@ -333,7 +352,7 @@ class TestStats:
         assert s["refreshes"] == s["folds"] // _REFRESH_EVERY
         assert s["block_folds"] == (s["folds"] - s["joins"]) // _BLOCK
         assert 0.0 < s["drift"] < 1e-8
-        assert_grounded(state._current(), state.sketch.gram)
+        assert_grounded(state.sketch._grounded_inverse(), state.sketch.gram)
         # left alone, the inverse catches up only when a score reads it,
         # folding a short run of kept rows and rebuilding after a long one;
         # the same rows are certified, scored and kept
@@ -346,7 +365,7 @@ class TestStats:
         np.testing.assert_allclose([w for _, _, w in lazy.kept_edges],
                                    [w for _, _, w in state.kept_edges],
                                    rtol=1e-9)
-        assert_grounded(lazy._current(), lazy.sketch.gram)
+        assert_grounded(lazy.sketch._grounded_inverse(), lazy.sketch.gram)
 
     def test_keys_before_the_first_read(self):
         # a stream the degrees certify row by row never reads the inverse;
@@ -368,15 +387,19 @@ class TestStats:
         pipe = StreamSparsifier(g.n, cfg)
         for e in g.edges:
             pipe.push(e)
+        inv = pipe.tree._grounded_inverse()     # take in the last pushes
+        assert_grounded(inv, pipe.tree.gram)
         s, t = pipe.sampler.stats(), pipe.tree.stats()
-        assert s["scored"] == g.m
+        assert s["scored"] + s["certified"] == g.m and s["certified"] > 0
         assert s["kept"] <= g.m and t["pushed"] == s["kept"]
-        # every kept row folds in at its push, except where the carry merged
-        # (every other carry), which marks the inverse for a rebuild instead
-        assert s["folds"] == t["pushed"] - t["carries"] // 2
+        # a read folds the rows pushed since the last one, unless a carry
+        # merged in between (every other carry) and marked the inverse for
+        # a rebuild; the rebuild takes in at least the merging push's row
+        assert 0 < s["folds"] <= t["pushed"] - t["carries"] // 2
         # every rebuild reads a freshly built Gram matrix: one up front and
         # one after each carry that merged; no stretch between merges is
-        # long enough for a periodic refresh
+        # long enough for a periodic refresh, and no run of pushes between
+        # two reads long enough for a rebuild
         assert s["refreshes"] == t["gram_builds"] == 1 + (t["pushed"] // 100) // 2
         assert s["drift"] == 0.0
         assert t["merges"] == pipe.tree.merges > 0
