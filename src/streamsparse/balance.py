@@ -40,7 +40,7 @@ class BalanceConfig:
     literal_recipient_cap: bool = False  # cap the shift by the recipient's weight
 
     def __post_init__(self):
-        if self.gamma <= 1:
+        if not self.gamma > 1:
             raise ValueError("gamma must exceed 1")
 
 
@@ -198,9 +198,9 @@ def st_potential(g: Graph) -> float:
 
 def augmented_graph(sketch: SpectralSketch, pairs: list[tuple[int, int]],
                     z: np.ndarray) -> Graph:
-    """Sketch rows as weighted edges plus the positive-weight clique pairs;
+    """The sketch's weighted edges plus the positive-weight clique pairs;
     the graph whose spanning-tree potential the shift loop climbs."""
-    edges = [WeightedEdge(r.u, r.v, r.scale ** 2) for r in sketch.rows]
+    edges = list(sketch.rows)
     for (u, v), zi in zip(pairs, z):
         if zi > 0:
             edges.append(WeightedEdge(u, v, float(zi)))

@@ -29,14 +29,14 @@ class IncidenceRow(NamedTuple):
     scale: float
 
 
-def _check_row(row: IncidenceRow, n: int) -> None:
-    """Raise ValueError unless row has distinct endpoints in [0, n) and a
-    scale in (0, inf)."""
+def _check_row(row, n: int) -> None:
+    """Raise ValueError unless row, an IncidenceRow or a WeightedEdge, has
+    distinct endpoints in [0, n) and its scale or weight in (0, inf)."""
     u, v, scale = row
     if not (0 <= u < n and 0 <= v < n and u != v):
-        raise ValueError(f"row {row} is a self-loop or out of range for n={n}")
+        raise ValueError(f"{row} is a self-loop or out of range for n={n}")
     if not 0 < scale < math.inf:
-        raise ValueError(f"row {row} needs a positive finite scale")
+        raise ValueError(f"{row} needs a positive finite scale or weight")
 
 
 @dataclass
@@ -445,8 +445,8 @@ def leverages(g: Graph) -> np.ndarray:
 
 
 class SpectralSketch:
-    """A running set of reweighted incidence rows; the Gram matrix of the
-    rows approximates a Laplacian and drives sampling probabilities.
+    """A running set of rows held in weights, as edges (u, v, scale^2); their
+    Gram matrix approximates a Laplacian and drives sampling probabilities.
 
     append only checks, records, stamps and notes a row. Resistances on the
     sketch are read from one grounded inverse of the Gram matrix
@@ -455,7 +455,7 @@ class SpectralSketch:
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[IncidenceRow] = []
+        self.rows: list[WeightedEdge] = []
         self._gram = np.zeros((n, n))
         self._inverse = _GroundedInverse(n, _REFRESH_EVERY)
 
@@ -464,16 +464,16 @@ class SpectralSketch:
         return self._inverse.catch_up(self._gram)
 
     def append(self, row: IncidenceRow) -> None:
-        """Add row to the sketch. A self-loop, an endpoint outside [0, n)
-        or a scale outside (0, inf) raises ValueError before any change."""
+        """Add row as the edge (u, v, scale^2). A self-loop, an endpoint
+        outside [0, n) or a scale outside (0, inf) raises ValueError first."""
         _check_row(row, self.n)
-        self._append(row)
-
-    def _append(self, row: IncidenceRow) -> None:
-        """append for a row its caller has already checked."""
-        self.rows.append(row)
         u, v, s = row
-        t = s * s
+        self._append(WeightedEdge(u, v, s * s))
+
+    def _append(self, e: WeightedEdge) -> None:
+        """Add an edge its caller has already checked."""
+        self.rows.append(e)
+        u, v, t = e
         _stamp(self._gram, u, v, t)
         self._inverse.note(u, v, t)
 

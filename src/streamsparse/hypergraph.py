@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .balance import clique_pairs, get_weight_assignment
-from .graph import Graph, IncidenceRow, WeightedEdge
+from .graph import Graph, WeightedEdge
 from .online import _CERTIFY_MARGIN, OnlineSamplerState, default_c
 from .rng import UniformByIndex, spawn_seed
 
@@ -159,9 +159,9 @@ class HyperSamplerConfig:
     def __post_init__(self):
         if self.variant not in ("fast", "balanced"):
             raise ValueError("variant must be 'fast' or 'balanced'")
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise ValueError("rho must be positive")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
 
 
@@ -213,7 +213,6 @@ class HyperSamplerState:
     # -- the two sampling rules ----------------------------------------
 
     def step(self, e: Hyperedge) -> HyperDecision:
-        _check_vertices(e, self.n)
         if self.cfg.variant == "balanced":
             return balanced_hyper_sparsify_step(self, e)
         return fast_hyper_sparsify_step(self, e)
@@ -236,12 +235,12 @@ class HyperSamplerState:
 
 def fast_hyper_sparsify_step(state: HyperSamplerState,
                              e: Hyperedge) -> HyperDecision:
-    """Feed all clique rows to the row sampler, then keep the hyperedge with
-    probability min(1, rho * max pair resistance), or with p = 1 when the
-    sketch's weighted degrees certify it."""
-    s = math.sqrt(e.w)
+    """Feed every clique pair at weight w(e) to the row sampler, then keep
+    the hyperedge with probability min(1, rho * max pair resistance), or
+    with p = 1 when the sketch's weighted degrees certify it."""
+    _check_vertices(e, state.n)
     for u, v in clique_pairs(e.vertices):
-        state.sampler.process_row(IncidenceRow(u, v, s))
+        state.sampler._sample(u, v, e.w)
     G = state.sampler.sketch.gram
     d = float(min(G[x, x] for x in e.vertices))
     if state.cfg.rho * e.w >= d * _CERTIFY_MARGIN:
@@ -255,15 +254,17 @@ def fast_hyper_sparsify_step(state: HyperSamplerState,
 def balanced_hyper_sparsify_step(state: HyperSamplerState,
                                  e: Hyperedge) -> HyperDecision:
     """Split w(e) across the clique with a balanced assignment, feed the
-    positively weighted rows, and keep with min(1, 2 * rho * max pair score).
+    pairs of weight z > 0, and keep with min(1, 2 * rho * max pair score).
 
-    A balancing failure (iteration cap) propagates as BalanceError.
+    A vertex outside [0, n) raises ValueError before any state changes; a
+    balancing failure (iteration cap) propagates as BalanceError.
     """
+    _check_vertices(e, state.n)
     assignment = get_weight_assignment(state.sampler.sketch, e)
     state._shifts += max(len(assignment.trace) - 1, 0)   # a pair has no trace
-    for (u, v), z in zip(assignment.pairs, assignment.z):
+    for (u, v), z in zip(assignment.pairs, assignment.z.tolist()):
         if z > 0:
-            state.sampler.process_row(IncidenceRow(u, v, math.sqrt(z)))
+            state.sampler._sample(u, v, z)
     score = state._pair_scores(e)
     p = min(1.0, 2.0 * state.cfg.rho * score)
     return state._decide(e, p, score)

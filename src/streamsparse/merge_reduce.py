@@ -202,7 +202,7 @@ class OnlineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
 
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, WeightedEdge, _columns, _grounded_inverse_of,
-                    _unchecked_graph, laplacian)
+from .graph import (Graph, WeightedEdge, _accumulate, _columns,
+                    _grounded_inverse_of, _unchecked_graph)
 from .rng import UniformByIndex
 
 
@@ -46,7 +46,8 @@ def keep_probabilities(g: Graph, rho: float) -> np.ndarray:
     if not 0 < rho < math.inf:
         raise ValueError("rho must be positive and finite")
     u, v, w = _columns(g.edges)
-    lev = w * _grounded_inverse_of(laplacian(g)).resistance(u, v)
+    L = _accumulate(np.zeros((g.n, g.n)), u, v, w)
+    lev = w * _grounded_inverse_of(L).resistance(u, v)
     lev[lev > _BRIDGE] = 1.0
     return np.minimum(1.0, rho * lev)
 

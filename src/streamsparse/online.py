@@ -10,16 +10,17 @@ row joining two components scores inf, so p = 1. The grounded inverse is
 scaled to the Gram matrix, so the scores do not depend on the unit of the
 weights.
 
-The sketch is the sampler's own kept rows (a SpectralSketch), or one it is
-handed and does not grow, such as the merge-and-reduce tower's sparsifier in
-working-memory mode. Both are read the same way: the Gram matrix gram, and
-the grounded inverse _grounded_inverse(), which catches up on the sketch's
-changes only when a score reads it.
+The sampler works in weights t = scale^2 and keeps a row as the edge
+(u, v, t / p). The sketch is its own kept edges (a SpectralSketch), or one
+it is handed and does not grow, such as the merge-and-reduce tower's
+sparsifier in working-memory mode. Both are read the same way: the Gram
+matrix gram, and the grounded inverse _grounded_inverse(), which catches up
+on the sketch's changes only when a score reads it.
 
 Many rows are decided before any score: by Rayleigh monotonicity (short
-every vertex but u) a row's leverage is at least scale^2 / min(d_u, d_v),
-d the sketch's weighted degrees, the Gram diagonal. A row with
-c * scale^2 >= min(d_u, d_v), up to a relative margin of _CERTIFY_MARGIN
+every vertex but u) a row's leverage is at least t / min(d_u, d_v), d the
+sketch's weighted degrees, the Gram diagonal. A row with
+c * t >= min(d_u, d_v), up to a relative margin of _CERTIFY_MARGIN
 against rounding, is certified: kept with p = 1 and its weight unchanged,
 without reading the inverse or taking a draw. A degree of 0 certifies too;
 such a row joins two components.
@@ -32,7 +33,8 @@ import math
 import numpy as np
 
 from .graph import (Graph, IncidenceRow, SpectralSketch, WeightedEdge,
-                    _check_row, _resistance, _stamp, pseudo_inverse)
+                    _check_row, _resistance, _stamp, _unchecked_graph,
+                    pseudo_inverse)
 from .rng import UniformByIndex
 
 
@@ -49,22 +51,21 @@ _CERTIFY_MARGIN = 1.0 + 1e-9
 class OnlineSamplerState:
     """Sequential single-owner sampling state.
 
-    With sketch=None the sampler scores against its own kept rows, a
-    SpectralSketch it appends each kept row to. Otherwise sketch is a
+    With sketch=None the sampler scores against its own kept edges, a
+    SpectralSketch that is their one record. Otherwise sketch is a
     MergeReduceTree, the tower of a StreamSparsifier in working-memory
-    mode, which the caller pushes the kept rows to; the sampler only reads
+    mode, which the caller pushes the kept edges to; the sampler only reads
     it. Either way it certifies the rows the sketch's weighted degrees
     decide and scores the others from the sketch's grounded inverse.
     """
 
     def __init__(self, n: int, c: float, seed: int = 0, sketch=None):
-        if c <= 0:
+        if not c > 0:
             raise ValueError("c must be positive")
         self.n = n
         self.c = c
         self.seed = seed
         self.kept_count = 0
-        self.kept_edges: list[WeightedEdge] = []
         self._draws = UniformByIndex(seed)
         self._index = 0
         self._scored = 0
@@ -77,62 +78,55 @@ class OnlineSamplerState:
     def score(self, row: IncidenceRow) -> float:
         """Leverage scale^2 d^T G^+ d of the row against the current sketch
         G; inf when its endpoints lie in different sketch components."""
+        u, v, s = row
+        return self._leverage(u, v, s * s)
+
+    def _leverage(self, u: int, v: int, t: float) -> float:
         inv = self.sketch._grounded_inverse()
         self._scored += 1
-        u, v, s = row
         if inv.components > 1 and inv.labels[u] != inv.labels[v]:
             return math.inf
-        return s * s * inv.resistance(u, v)
+        return t * inv.resistance(u, v)
 
-    def _certifies(self, row: IncidenceRow) -> bool:
-        """Whether the sketch's weighted degrees alone give c * score >= 1
-        (see the module docstring)."""
-        u, v, s = row
+    def _sample(self, u: int, v: int, t: float) -> tuple[float, WeightedEdge | None]:
+        """Certify or score a checked row of weight t, decide, and grow an
+        owned sketch; returns (p, the kept edge (u, v, t / p) or None).
+        Draws are keyed by (seed, arrival index); p = 1 takes none."""
         G = self.sketch.gram
-        return self.c * (s * s) >= min(G[u, u], G[v, v]) * _CERTIFY_MARGIN
-
-    def process_row(self, row: IncidenceRow) -> tuple[bool, IncidenceRow | None]:
-        """Certify or score, decide, and grow the sketch if the sampler owns
-        it.
-
-        Returns (kept, reweighted row). Decisions are keyed by
-        (seed, arrival index); a row with p = 1 takes no draw. A self-loop
-        row, an endpoint outside [0, n) or a scale outside (0, inf) raises
-        ValueError before any state changes.
-        """
-        _check_row(row, self.n)
-        if self._certifies(row):
+        if self.c * t >= min(G[u, u], G[v, v]) * _CERTIFY_MARGIN:
             self._certified += 1
             p = 1.0
         else:
-            p = min(self.c * self.score(row), 1.0)
-        self.last_p = p
+            p = min(self.c * self._leverage(u, v, t), 1.0)
         idx = self._index
         self._index += 1
-        kept = p >= 1.0 or self._draws.uniform(idx) < p
-        if not kept:
-            return False, None
+        if p < 1.0 and self._draws.uniform(idx) >= p:
+            return p, None
         self.kept_count += 1
-        self.kept_edges.append(WeightedEdge(row.u, row.v, row.scale ** 2 / p))
-        if p < 1.0:
-            row = IncidenceRow(row.u, row.v, row.scale / math.sqrt(p))
+        kept = WeightedEdge(u, v, t / p)
         if self._owns_sketch:
-            self.sketch._append(row)
-        return True, row
+            self.sketch._append(kept)
+        return p, kept
+
+    def process_row(self, row: IncidenceRow) -> tuple[bool, IncidenceRow | None]:
+        """Sample the row's weight scale^2. Returns (kept, reweighted row):
+        the row itself at p = 1, else the row scaled by 1 / sqrt(p). A
+        self-loop row, an endpoint outside [0, n) or a scale outside
+        (0, inf) raises ValueError before any state changes."""
+        _check_row(row, self.n)
+        u, v, s = row
+        p, kept = self._sample(u, v, s * s)
+        if kept is None:
+            return False, None
+        return True, row if p == 1.0 else IncidenceRow(u, v, s / math.sqrt(p))
 
     def process_edge(self, e: WeightedEdge) -> tuple[bool, WeightedEdge | None]:
-        """process_row on the edge's row sqrt(w) (chi_u - chi_v). A weight
-        outside (0, inf) raises ValueError before any state changes."""
-        if not 0 < e.w < math.inf:
-            raise ValueError(f"edge {e} needs a positive finite weight")
-        kept, _ = self.process_row(IncidenceRow(e.u, e.v, math.sqrt(e.w)))
-        if not kept:
-            return False, None
-        # reweight from the original weight, not the sqrt round-trip, so that
-        # p = 1 keeps the edge bit-exact
-        out = WeightedEdge(e.u, e.v, e.w / self.last_p)
-        self.kept_edges[-1] = out
-        return True, out
+        """Sample the edge on its weight w; returns (kept, (u, v, w / p)), so
+        p = 1 keeps it bit for bit. A self-loop, an endpoint outside [0, n)
+        or a weight outside (0, inf) raises ValueError before any change."""
+        _check_row(e, self.n)
+        kept = self._sample(*e)[1]
+        return kept is not None, kept
 
     def stats(self) -> dict:
         """Counters of this sampler, as a plain dict: rows scored, certified
@@ -143,9 +137,12 @@ class OnlineSamplerState:
                 "kept": self.kept_count, **self.sketch._inverse.stats()}
 
     def finalize(self) -> Graph:
-        """Snapshot of the sampled reweighted edges, in arrival order.
-        Non-destructive; valid at any point of the stream."""
-        return Graph(self.n, list(self.kept_edges))
+        """The sketch's rows: the kept reweighted edges in arrival order, at
+        any point of the stream. A sampler reading a tower raises ValueError."""
+        if not self._owns_sketch:
+            raise ValueError("a sampler reading a tower keeps no edges of "
+                             "its own; read the tower's sparsifier()")
+        return _unchecked_graph(self.n, list(self.sketch.rows))
 
 
 def online_sparsify(g: Graph, c: float | None = None, eps: float = 1.0,

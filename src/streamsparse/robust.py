@@ -3,9 +3,9 @@
 The exposed sparsifier only changes when some Laplacian eigenvalue of the
 inner snapshot has grown past a (1 + eps/8) gate since the last switch, so
 an adaptive adversary observing the output learns nothing between switches.
-The snapshot's Laplacian is kept up edge by edge, so a step that keeps an
-edge costs one stamp and one eigvalsh; the snapshot graph itself is only
-built when the gate trips.
+The snapshot's Laplacian is the inner sampler's sketch Gram, which holds its
+kept edges, so a step that keeps an edge costs one eigvalsh; the snapshot
+graph itself is only built when the gate trips.
 The hypergraph variant gates on the associated graph and swaps the exposed
 hypergraph exactly when the graph gate trips.
 """
@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .balance import clique_pairs
-from .graph import (Graph, KernelMismatchError, WeightedEdge, _stamp,
-                    laplacian, rayleigh_error)
+from .graph import (Graph, KernelMismatchError, WeightedEdge, laplacian,
+                    rayleigh_error)
 from .hypergraph import (Hyperedge, Hypergraph, HyperSamplerConfig,
                          HyperSamplerState, fast_rho)
 from .online import OnlineSamplerState, default_c
@@ -45,9 +45,10 @@ class RobustWrapperState:
             inner_eps = eps / 8.0
             inner = OnlineSamplerState(n, default_c(m_hint, inner_eps),
                                        seed=seed)
+        elif not inner._owns_sketch:
+            raise ValueError("the gate reads the inner sampler's own sketch; "
+                             "a sampler reading a tower has none")
         self.inner = inner
-        # Laplacian of inner.finalize(), stamped in edge order as it grows
-        self._laplacian = laplacian(inner.finalize())
         self.exposed = Graph(n, [])
         self.baseline = np.zeros(n)       # sorted eigenvalues at last switch
         self.switch_count = 0
@@ -67,12 +68,12 @@ class RobustWrapperState:
         return True
 
     def step(self, e: WeightedEdge) -> Graph:
-        kept, out = self.inner.process_edge(e)
+        kept, _ = self.inner.process_edge(e)
         if not kept:
             # the snapshot, and so the gate's verdict on it, is unchanged
             return self.exposed
-        _stamp(self._laplacian, out.u, out.v, out.w)
-        eigs = np.sort(np.linalg.eigvalsh(self._laplacian))
+        # the Laplacian of inner.finalize(); eigvalsh sorts ascending
+        eigs = np.linalg.eigvalsh(self.inner.sketch.gram)
         if not self._within_gate(eigs):
             self.exposed = self.inner.finalize()
             self.baseline = eigs

@@ -41,9 +41,9 @@ class SlidingWindowConfig:
     def __post_init__(self):
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.rho is not None and self.rho <= 0:
+        if self.rho is not None and not self.rho > 0:
             raise ValueError("rho must be positive")
 
 

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from streamsparse import (ExperimentConfig, HyperSamplerConfig,
-                          OfflineSampleConfig, OnlineConfig,
+from streamsparse import (BalanceConfig, ExperimentConfig,
+                          HyperSamplerConfig, OfflineSampleConfig,
+                          OnlineConfig, OnlineSamplerState,
                           SlidingWindowConfig, TreeConfig)
 
 
@@ -26,11 +27,20 @@ from streamsparse import (ExperimentConfig, HyperSamplerConfig,
     lambda: OfflineSampleConfig(rho=math.nan),
     lambda: OfflineSampleConfig(rho=math.inf),
     lambda: ExperimentConfig(batch_size=0),
+    lambda: OnlineSamplerState(4, c=math.nan),
+    lambda: SlidingWindowConfig(block_size=2, eps=math.nan),
+    lambda: SlidingWindowConfig(block_size=2, rho=math.nan),
+    lambda: HyperSamplerConfig(rho=math.nan),
+    lambda: HyperSamplerConfig(rho=1, eps=math.nan),
+    lambda: OnlineConfig(eps=math.nan),
+    lambda: BalanceConfig(gamma=math.nan),
 ], ids=["window-eps0", "window-eps-neg", "window-rho0", "window-rho-neg",
         "hyper-eps0", "hyper-eps-neg", "online-eps0", "online-eps-neg",
         "tree-rho0", "tree-rho-neg", "tree-rho-nan", "tree-rho-inf",
         "offline-rho0", "offline-rho-nan", "offline-rho-inf",
-        "experiment-batch0"])
+        "experiment-batch0", "sampler-c-nan", "window-eps-nan",
+        "window-rho-nan", "hyper-rho-nan", "hyper-eps-nan", "online-eps-nan",
+        "balance-gamma-nan"])
 def test_bad_values_fail_at_construction(build):
     with pytest.raises(ValueError):
         build()

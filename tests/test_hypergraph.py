@@ -406,7 +406,7 @@ class TestMaintainedScores:
         mirror = SpectralSketch(10)
         for k in reads:
             for row in sketch.rows[len(mirror):k]:
-                mirror.append(row)
+                mirror._append(row)
             ref = mirror._grounded_inverse()
         inv = sketch._inverse
         assert inv is state.sampler.sketch._inverse

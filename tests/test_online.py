@@ -103,7 +103,7 @@ class TestSamplerMechanics:
     def test_kept_edges_reweighted(self):
         state = OnlineSamplerState(3, c=1e9)
         state.process_edge(WeightedEdge(0, 1, 2.0))
-        (e,) = state.kept_edges
+        (e,) = state.finalize().edges
         assert e.w == pytest.approx(2.0)   # p clamped to 1, weight unchanged
 
     def test_determinism(self):
@@ -177,12 +177,14 @@ class TestCertifiedKeeps:
         for e in _stream(seed, n, 60):
             G = state.sketch.gram.copy()
             kept = state.kept_count
-            pipe.push(e)
+            # pipe.push, with the kept edge in hand
+            _, out = state.process_edge(e)
+            if out is not None:
+                pipe.tree.push(out)
             if state.stats()["certified"] == certified:
                 continue
             certified += 1
-            assert state.kept_count == kept + 1 and state.last_p == 1.0
-            assert state.kept_edges[-1].w == e.w
+            assert state.kept_count == kept + 1 and out.w == e.w
             if _components(G)[e.u] == _components(G)[e.v]:
                 ell = e.w * _resistance(pseudo_inverse(G), e.u, e.v)
                 assert c * ell >= 1.0
@@ -201,7 +203,7 @@ class TestCertifiedKeeps:
             kept, out = state.process_edge(WeightedEdge(0, 1, w))
             s = state.stats()
             assert (s["certified"], s["scored"]) == (1 + certified, 1 - certified)
-            assert kept and state.last_p == 1.0 and out.w == w
+            assert kept and out.w == w
 
     def test_certified_streams_never_touch_the_inverse(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -290,6 +292,73 @@ def _stream(seed, n, m):
     return [WeightedEdge(int(a), int(b), float(x)) for a, b, x in zip(u, v, w)]
 
 
+class TestOneStore:
+    """The sampler's own sketch is the one record of its kept edges, in
+    weights: finalize() returns its rows, and its Gram is their Laplacian."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=2, max_value=9),
+           st.floats(min_value=0.05, max_value=50.0),
+           st.integers(min_value=0, max_value=12),
+           st.lists(st.booleans(), min_size=40, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_kept_edges_are_the_sketch(self, seed, n, c, fed, as_rows):
+        stream = _stream(seed, n, fed + 40)
+        state = OnlineSamplerState(n, c, seed=seed)
+        # rows appended to the sketch directly are kept edges too
+        for u, v, w in stream[:fed]:
+            state.sketch.append(IncidenceRow(u, v, math.sqrt(w)))
+        ps = []
+        real = state._sample
+
+        def recording(u, v, t):
+            p, kept = real(u, v, t)
+            ps.append(p)
+            return p, kept
+
+        state._sample = recording
+        for e, as_row in zip(stream[fed:], as_rows):
+            G = state.sketch.gram.copy()
+            before = state.finalize().edges
+            if as_row:
+                row = IncidenceRow(e.u, e.v, math.sqrt(e.w))
+                kept, out = state.process_row(row)
+                t = row.scale * row.scale
+            else:
+                kept, out = state.process_edge(e)
+                t = e.w
+            p = ps[-1]
+            labels = _components(G)
+            if labels[e.u] != labels[e.v]:
+                assert p == 1.0
+            else:
+                ell = t * _resistance(pseudo_inverse(G), e.u, e.v)
+                assert p == pytest.approx(min(1.0, c * ell), rel=1e-7)
+            after = state.finalize().edges
+            assert np.array_equal(state.sketch.gram, laplacian(state.finalize()))
+            if not kept:
+                assert out is None and after == before
+                continue
+            assert after == before + [WeightedEdge(e.u, e.v, t / p)]
+            if as_row:
+                assert out is row if p == 1.0 else \
+                    out == IncidenceRow(e.u, e.v, row.scale / math.sqrt(p))
+            else:
+                assert out == after[-1]
+                if p == 1.0:
+                    assert out.w == e.w
+
+    def test_a_sampler_reading_a_tower_keeps_no_edges(self):
+        tree = MergeReduceTree(4, TreeConfig(block_size=4))
+        state = OnlineSamplerState(4, c=2.0, sketch=tree)
+        kept, out = state.process_edge(WeightedEdge(0, 1, 1.5))
+        assert kept and out == WeightedEdge(0, 1, 1.5)
+        with pytest.raises(ValueError):
+            state.finalize()
+        with pytest.raises(ValueError):
+            RobustWrapperState(4, 0.5, inner=state)
+
+
 class TestBlockedInverse:
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=3 * _BLOCK + 1, max_value=5 * _BLOCK))
@@ -360,10 +429,10 @@ class TestStats:
         for key in ("scored", "certified", "kept"):
             assert t[key] == s[key]
         assert t["folds"] < t["kept"] and t["refreshes"] > 0
-        assert [(u, v) for u, v, _ in lazy.kept_edges] == \
-               [(u, v) for u, v, _ in state.kept_edges]
-        np.testing.assert_allclose([w for _, _, w in lazy.kept_edges],
-                                   [w for _, _, w in state.kept_edges],
+        assert [(u, v) for u, v, _ in lazy.finalize().edges] == \
+               [(u, v) for u, v, _ in state.finalize().edges]
+        np.testing.assert_allclose([w for _, _, w in lazy.finalize().edges],
+                                   [w for _, _, w in state.finalize().edges],
                                    rtol=1e-9)
         assert_grounded(lazy.sketch._grounded_inverse(), lazy.sketch.gram)
 
@@ -470,7 +539,7 @@ class TestScaleFree:
     def test_heavy_edge_is_kept_with_p_one(self):
         state = OnlineSamplerState(3, c=0.01)
         kept, out = state.process_edge(WeightedEdge(0, 1, 1e17))
-        assert kept and state.last_p == 1.0 and out.w == 1e17
+        assert kept and out.w == 1e17
         # against the sketch of that one edge, a parallel copy scores
         # w * (1 / w) = 1 at that scale too
         assert state.score(IncidenceRow(0, 1, math.sqrt(1e17))) == \
