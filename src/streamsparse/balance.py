@@ -37,7 +37,6 @@ class BalanceError(RuntimeError):
 @dataclass(frozen=True)
 class BalanceConfig:
     gamma: float = 2.0
-    literal_recipient_cap: bool = False  # cap the shift by the recipient's weight
 
     def __post_init__(self):
         if not self.gamma > 1:
@@ -147,8 +146,7 @@ def get_weight_assignment(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
     1/z_d and lam <= (gamma - 1) / (2 gamma q_max) < z_d.
 
     The shift amount is capped by the donor's remaining weight (keeps all
-    weights non-negative and conserves the total); set literal_recipient_cap
-    to reproduce the cap by the recipient's weight instead.
+    weights non-negative and conserves the total).
     """
     pairs = clique_pairs(e.vertices)
     if len(pairs) == 1:
@@ -165,8 +163,8 @@ def get_weight_assignment(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
         qmax_idx = int(np.argmax(q >= q.max() * (1.0 - _TIE_RTOL)))
         if gamma_ok(q[qmax_idx], q[qmin_idx], cfg.gamma) or qmax_idx == qmin_idx:
             break
-        cap_z = z[qmax_idx] if cfg.literal_recipient_cap else z[qmin_idx]
-        lam = min(cap_z, (cfg.gamma - 1.0) / (2.0 * cfg.gamma * q[qmax_idx]))
+        lam = min(z[qmin_idx],
+                  (cfg.gamma - 1.0) / (2.0 * cfg.gamma * q[qmax_idx]))
         z[qmax_idx] += lam
         z[qmin_idx] = max(0.0, z[qmin_idx] - lam)
         out.trace.append(z.copy())

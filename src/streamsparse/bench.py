@@ -200,38 +200,41 @@ def _run_online(trial: _Trial, c: float) -> tuple[int, Graph]:
     return len(edges), Graph(trial.graph.n, edges)
 
 
-def _run_merge_reduce(trial: _Trial, block_size: int, cap: float = math.inf
-                      ) -> tuple[int, Graph | None, MergeReduceTree]:
-    """(peak count, sparsifier, tower) of the tower over the trial's stream.
-    The run stops at the first push whose running count passes cap and
-    returns None for its sparsifier: the count, a running maximum, is then
-    a lower bound of the full run's."""
-    # rho defaults to block_size / n, so the reduced coresets match the
-    # block size and the peak resident count scales with the one knob
-    tree = MergeReduceTree(trial.graph.n, TreeConfig(
-        block_size=block_size, seed=trial.sample_seed))
-    for e in trial.graph.edges:
-        tree.push(e)
+def _run_capped(tree: MergeReduceTree, push, edges, cap: float
+                ) -> tuple[int, Graph | None, MergeReduceTree]:
+    """(peak count, sparsifier, tower) after push(e) for each edge, counting
+    the tower's peak resident items. The run stops at the first push whose
+    running count passes cap and returns None for its sparsifier: the
+    count, a running maximum, is then a lower bound of the full run's."""
+    for e in edges:
+        push(e)
         if tree.peak_resident > cap:
             return tree.peak_resident, None, tree
     return tree.peak_resident, tree.sparsifier(), tree
 
 
+def _run_merge_reduce(trial: _Trial, block_size: int, cap: float = math.inf
+                      ) -> tuple[int, Graph | None, MergeReduceTree]:
+    """The tower over the trial's stream, stopped at cap (see _run_capped)."""
+    # rho defaults to block_size / n, so the reduced coresets match the
+    # block size and the peak resident count scales with the one knob
+    tree = MergeReduceTree(trial.graph.n, TreeConfig(
+        block_size=block_size, seed=trial.sample_seed))
+    return _run_capped(tree, tree.push, trial.graph.edges, cap)
+
+
 def _run_streaming(trial: _Trial, c: float, block_size: int,
                    cap: float = math.inf
                    ) -> tuple[int, Graph | None, MergeReduceTree]:
-    """As _run_merge_reduce, for the streaming pipeline."""
+    """As _run_merge_reduce, for the streaming pipeline: the tower holds
+    every resident item, the sampler's kept edges."""
     cfg = StreamPipelineConfig(
         online=OnlineConfig(c=c, seed=trial.sample_seed),
         tree=TreeConfig(block_size=block_size,
                         seed=spawn_seed(trial.sample_seed, 1)),
-        use_tree_sketch=True, m_hint=trial.graph.m)
+        m_hint=trial.graph.m)
     pipe = StreamSparsifier(trial.graph.n, cfg)
-    for e in trial.graph.edges:
-        pipe.push(e)
-        if pipe.max_resident > cap:
-            return pipe.max_resident, None, pipe.tree
-    return pipe.max_resident, pipe.result(), pipe.tree
+    return _run_capped(pipe.tree, pipe.push, trial.graph.edges, cap)
 
 
 # -- knob tuning ---------------------------------------------------------
@@ -441,7 +444,7 @@ def _tune(cfg: ExperimentConfig, method: str, budget: int,
 def _run_one(trial: _Trial, method: str, params: dict,
              cap: float = math.inf) -> tuple:
     """(stored count, sparsifier), plus the tower for the tower methods,
-    whose run stops once its count passes cap (see _run_merge_reduce)."""
+    whose run stops once its count passes cap (see _run_capped)."""
     if method == "online":
         return _run_online(trial, params["c"])
     if method == "merge_reduce":

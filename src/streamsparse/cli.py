@@ -148,8 +148,7 @@ def _cmd_hypersparsify(args) -> int:
 
 def _cmd_mincut(args) -> int:
     g = _load_graph(args)
-    value = stream_mincut(g, MinCutPipelineConfig(eps=min(args.eps, 0.99),
-                                                  seed=args.seed))
+    value = stream_mincut(g, MinCutPipelineConfig(eps=args.eps, seed=args.seed))
     fh = _out(args)
     print(repr(value), file=fh)
     if fh is not sys.stdout:

@@ -48,12 +48,7 @@ class Graph:
 
     def __post_init__(self):
         for e in self.edges:
-            if e.u == e.v:
-                raise ValueError(f"self-loop at vertex {e.u}")
-            if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n}")
-            if not 0 < e.w < math.inf:
-                raise ValueError(f"weight must be positive and finite in {e}")
+            _check_row(e, self.n)
 
     @property
     def m(self) -> int:
@@ -61,9 +56,7 @@ class Graph:
 
     def add(self, u: int, v: int, w: float) -> None:
         e = WeightedEdge(u, v, float(w))
-        if (u == v or not (0 <= u < self.n and 0 <= v < self.n)
-                or not 0 < w < math.inf):
-            raise ValueError(f"bad edge {e}")
+        _check_row(e, self.n)
         self.edges.append(e)
 
 

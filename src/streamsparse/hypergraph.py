@@ -118,8 +118,8 @@ def associated_graph(h: Hypergraph) -> Graph:
 
 def quantize_weight(w: float, eps: float) -> float:
     """Round w to the nearest power of (1 + eps) in log scale."""
-    if w <= 0:
-        raise ValueError("weight must be positive")
+    if not 0 < w < math.inf:
+        raise ValueError("weight must be positive and finite")
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     k = round(math.log(w) / math.log1p(eps))

@@ -6,10 +6,11 @@ at a level they are merged and reduced (effective-resistance sampling) into
 the next level. The union of all levels plus the buffer is a sparsifier of
 everything pushed so far.
 
-In working-memory mode (StreamSparsifier with use_tree_sketch) the tower's
-sparsifier is also the online sampler's scoring sketch. The tower then
-serves it as a SpectralSketch does: gram, built on the first read after a
-merge and stamped by pushes, and one grounded inverse of it that a push
+In the streaming pipeline (StreamSparsifier) the tower's sparsifier is
+also the online sampler's scoring sketch, and the sampler appends its kept
+edges to it, so nothing outside the tower stays resident. The tower serves
+the sampler as a SpectralSketch does: gram, built on the first read after
+a merge and stamped by pushes, and one grounded inverse of it that a push
 notes its row to, a merging carry marks for a rebuild, and a score catches
 up when it reads it.
 """
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import (Graph, WeightedEdge, _GroundedInverse, _REFRESH_EVERY,
-                    _accumulate, _columns, _stamp, _unchecked_graph)
+                    _accumulate, _check_row, _columns, _stamp,
+                    _unchecked_graph)
 from .offline import OfflineSampleConfig, er_sparsify
 from .online import OnlineSamplerState, default_c
 from .rng import spawn_seed
@@ -80,7 +82,7 @@ class MergeReduceTree:
     @property
     def gram(self) -> np.ndarray:
         """Gram matrix of the current sparsifier's incidence rows: the
-        scoring sketch of a StreamSparsifier with use_tree_sketch.
+        scoring sketch of a StreamSparsifier.
 
         Built from the resident items on the first read after a carry that
         merged; pushes then stamp into it. A carry that only parks the block
@@ -127,10 +129,13 @@ class MergeReduceTree:
         its next read. A self-loop, an endpoint outside [0, n) or a weight
         outside (0, inf) raises ValueError before any state changes; the
         tower's coresets and sparsifier are then built unchecked."""
+        _check_row(item, self.n)
+        self._append(item)
+
+    def _append(self, item: WeightedEdge) -> None:
+        """push for an edge its caller has already checked: the online
+        sampler's kept edges enter a StreamSparsifier's tower here."""
         u, v, w = item
-        if not (0 <= u < self.n and 0 <= v < self.n and u != v
-                and 0 < w < math.inf):
-            raise ValueError(f"bad edge {item} for n={self.n}")
         self.buffer.append(item)
         self.pushed += 1
         self._resident += 1
@@ -210,12 +215,14 @@ class OnlineConfig:
 class StreamPipelineConfig:
     online: OnlineConfig = field(default_factory=OnlineConfig)
     tree: TreeConfig = field(default_factory=lambda: TreeConfig(block_size=256))
-    use_tree_sketch: bool = False   # working-memory mode: tree output = sketch
     m_hint: int | None = None       # expected stream length, for default c
 
 
 class StreamSparsifier:
-    """Online front-end feeding the merge-and-reduce tower."""
+    """Online front-end feeding the merge-and-reduce tower: the sampler
+    scores each edge against the tower's sparsifier and appends the edges
+    it keeps to the tower, so the tower's peak_resident is the pipeline's
+    peak count of resident items."""
 
     def __init__(self, n: int, cfg: StreamPipelineConfig):
         self.n = n
@@ -224,29 +231,18 @@ class StreamSparsifier:
         if c is None:
             c = default_c(cfg.m_hint or 1024, cfg.online.eps)
         self.tree = MergeReduceTree(n, cfg.tree)
-        self.sampler = OnlineSamplerState(
-            n, c, seed=cfg.online.seed,
-            sketch=self.tree if cfg.use_tree_sketch else None)
-        self.max_resident = 0
+        self.sampler = OnlineSamplerState(n, c, seed=cfg.online.seed,
+                                          sketch=self.tree)
 
     def push(self, e: WeightedEdge) -> None:
-        kept, reweighted = self.sampler.process_edge(e)
-        if kept:
-            self.tree.push(reweighted)
-        resident = self.tree.resident()
-        if not self.cfg.use_tree_sketch:
-            resident += len(self.sampler.sketch)
-        self.max_resident = max(self.max_resident, resident,
-                                self.tree.peak_resident)
+        self.sampler.process_edge(e)
 
     def result(self) -> Graph:
         return self.tree.sparsifier()
 
     def stats(self) -> dict:
-        """The sampler's and the tower's stats() and the peak count of
-        resident items, as a plain dict."""
-        return {"sampler": self.sampler.stats(), "tree": self.tree.stats(),
-                "max_resident": self.max_resident}
+        """The sampler's and the tower's stats(), as a plain dict."""
+        return {"sampler": self.sampler.stats(), "tree": self.tree.stats()}
 
 
 def stream_sparsify(g: Graph, cfg: StreamPipelineConfig) -> Graph:

@@ -11,11 +11,11 @@ scaled to the Gram matrix, so the scores do not depend on the unit of the
 weights.
 
 The sampler works in weights t = scale^2 and keeps a row as the edge
-(u, v, t / p). The sketch is its own kept edges (a SpectralSketch), or one
-it is handed and does not grow, such as the merge-and-reduce tower's
-sparsifier in working-memory mode. Both are read the same way: the Gram
-matrix gram, and the grounded inverse _grounded_inverse(), which catches up
-on the sketch's changes only when a score reads it.
+(u, v, t / p), which it appends to its sketch: its own SpectralSketch, or
+the merge-and-reduce tower of a StreamSparsifier, whose sparsifier then
+scores the stream. Both are grown by _append and read the same way: the
+Gram matrix gram, and the grounded inverse _grounded_inverse(), which
+catches up on the sketch's changes only when a score reads it.
 
 Many rows are decided before any score: by Rayleigh monotonicity (short
 every vertex but u) a row's leverage is at least t / min(d_u, d_v), d the
@@ -53,9 +53,9 @@ class OnlineSamplerState:
 
     With sketch=None the sampler scores against its own kept edges, a
     SpectralSketch that is their one record. Otherwise sketch is a
-    MergeReduceTree, the tower of a StreamSparsifier in working-memory
-    mode, which the caller pushes the kept edges to; the sampler only reads
-    it. Either way it certifies the rows the sketch's weighted degrees
+    MergeReduceTree, the tower of a StreamSparsifier, which reduces the
+    kept edges as they arrive. Either way the sampler appends each kept
+    edge to the sketch, certifies the rows the sketch's weighted degrees
     decide and scores the others from the sketch's grounded inverse.
     """
 
@@ -89,8 +89,9 @@ class OnlineSamplerState:
         return t * inv.resistance(u, v)
 
     def _sample(self, u: int, v: int, t: float) -> tuple[float, WeightedEdge | None]:
-        """Certify or score a checked row of weight t, decide, and grow an
-        owned sketch; returns (p, the kept edge (u, v, t / p) or None).
+        """Certify or score a checked row of weight t, decide, and append a
+        kept row to the sketch; returns (p, the kept edge (u, v, t / p) or
+        None).
         Draws are keyed by (seed, arrival index); p = 1 takes none."""
         G = self.sketch.gram
         if self.c * t >= min(G[u, u], G[v, v]) * _CERTIFY_MARGIN:
@@ -104,8 +105,7 @@ class OnlineSamplerState:
             return p, None
         self.kept_count += 1
         kept = WeightedEdge(u, v, t / p)
-        if self._owns_sketch:
-            self.sketch._append(kept)
+        self.sketch._append(kept)
         return p, kept
 
     def process_row(self, row: IncidenceRow) -> tuple[bool, IncidenceRow | None]:

@@ -122,15 +122,6 @@ class TestAssignment:
         q1 = ratios(sk, Hyperedge((1, 2, 3), 3.0), np.array([1.0, 1.0, 1.0]))
         assert (q1 > 0).all()
 
-    def test_literal_recipient_cap_also_balances(self):
-        sk = SpectralSketch(4)
-        sk.append(IncidenceRow(1, 2, math.sqrt(50.0)))
-        e = Hyperedge((1, 2, 3), 3.0)
-        cfg = BalanceConfig(literal_recipient_cap=True)
-        wa = get_weight_assignment(sk, e, cfg)
-        assert wa.z.sum() == pytest.approx(3.0, abs=1e-9)
-        assert is_balanced(sk, e, wa.z, 2.0)
-
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             BalanceConfig(gamma=1.0)

@@ -129,6 +129,13 @@ class TestAssociatedGraph:
 
 
 class TestQuantize:
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_weight_hyperedge_rejects(self, w):
+        with pytest.raises(ValueError, match="positive and finite"):
+            quantize_weight(w, 0.1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Hyperedge((0, 1), w)
+
     def test_one_is_fixed(self):
         assert quantize_weight(1.0, 0.3) == pytest.approx(1.0)
 

@@ -676,6 +676,14 @@ class TestCli:
         assert r.returncode == 0
         assert 1.6 <= float(r.stdout.strip()) <= 2.5
 
+    def test_mincut_eps_out_of_range_is_config_error(self, tmp_path):
+        # eps goes to MinCutPipelineConfig as given, which takes (0, 1)
+        path = tmp_path / "c8.txt"
+        path.write_text("".join(f"{i} {(i + 1) % 8} 1.0\n" for i in range(8)))
+        r = self.run_cli("mincut", "--input", str(path), "--eps", "2")
+        assert r.returncode == 2 and r.stdout == ""
+        assert "eps must be in (0, 1)" in r.stderr
+
     def test_missing_input_is_config_error(self):
         r = self.run_cli("sparsify")
         assert r.returncode == 2

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamsparse import (Graph, MergeReduceTree, OnlineConfig,
-                          StreamPipelineConfig, StreamSparsifier, TreeConfig,
-                          WeightedEdge, eps_per_level, laplacian, mr_sparsify,
-                          rayleigh_error, stream_sparsify)
+from streamsparse import (Graph, MergeReduceTree, MinCutPipelineConfig,
+                          OnlineConfig, StreamPipelineConfig,
+                          StreamSparsifier, TreeConfig, WeightedEdge,
+                          eps_per_level, laplacian, mr_sparsify,
+                          rayleigh_error, stoer_wagner, stream_sparsify)
 from streamsparse.bench import gen_synthetic
+from streamsparse.mincut import _default_stream_config
 
 from test_graph import edge_lists
 
@@ -162,12 +164,19 @@ class TestLazyGram:
                                 "resident": tree.resident(),
                                 "peak_resident": tree.peak_resident,
                                 "gram_builds": 0}
+        # a pipeline's sampler reads the Gram on every push: it is built up
+        # front and after every merging carry (every other carry) but a
+        # last one that no push follows
         pipe = StreamSparsifier(g.n, StreamPipelineConfig(
             online=OnlineConfig(c=5.0), tree=TreeConfig(block_size=32),
             m_hint=g.m))
         for e in g.edges:
+            merges = pipe.tree.merges
             pipe.push(e)
-        assert pipe.tree.stats()["gram_builds"] == 0
+        t = pipe.tree.stats()
+        assert t["carries"] >= 2
+        assert t["gram_builds"] == (1 + t["carries"] // 2
+                                    - (pipe.tree.merges > merges))
 
 
 class TestEpsPerLevel:
@@ -214,27 +223,32 @@ class TestStreamingPipeline:
         g = gen_synthetic(15, 800, seed=5)
         cfg = StreamPipelineConfig(
             online=OnlineConfig(c=8 * math.log(800)),
-            tree=TreeConfig(block_size=64),
-            use_tree_sketch=True, m_hint=g.m)
+            tree=TreeConfig(block_size=64), m_hint=g.m)
         pipe = StreamSparsifier(g.n, cfg)
         for e in g.edges:
             pipe.push(e)
         out = pipe.result()
         assert 0 < out.m < g.m
-        # in working-memory mode nothing outside the tower is resident
-        assert pipe.max_resident == pipe.tree.peak_resident
+        # the sampler scores on the tower and appends its kept edges there
+        assert pipe.sampler.sketch is pipe.tree
+        assert pipe.tree.pushed == pipe.sampler.kept_count
         err = rayleigh_error(laplacian(g), laplacian(out))
         assert err < 1.5
 
-    def test_self_sketch_counts_rows(self):
-        g = gen_synthetic(10, 300, seed=6)
-        cfg = StreamPipelineConfig(
-            online=OnlineConfig(c=5.0),
-            tree=TreeConfig(block_size=32), m_hint=g.m)
-        pipe = StreamSparsifier(g.n, cfg)
+    def test_default_pipeline_scores_on_the_tower(self):
+        pipe = StreamSparsifier(10, StreamPipelineConfig())
+        assert pipe.sampler.sketch is pipe.tree
+        # stream_mincut's pipeline keeps every edge here: the tower holds
+        # each one once, and no second copy is resident beside it
+        g = gen_synthetic(100, 8000, 3)
+        pipe = StreamSparsifier(g.n, _default_stream_config(
+            MinCutPipelineConfig(), g.m))
         for e in g.edges:
             pipe.push(e)
-        assert pipe.max_resident >= pipe.tree.peak_resident
+        assert pipe.sampler.sketch is pipe.tree
+        assert pipe.tree.pushed == pipe.tree.peak_resident == 8000
+        assert stoer_wagner(pipe.result()).value == pytest.approx(
+            stoer_wagner(g).value, rel=1e-12)     # 679.2708095017534
 
     def test_deterministic(self):
         g = gen_synthetic(10, 400, seed=7)
@@ -263,8 +277,7 @@ class TestStreamingPipeline:
         g = gen_synthetic(8, 200, seed=10)
         cfg = StreamPipelineConfig(
             online=OnlineConfig(c=6.0, seed=1),
-            tree=TreeConfig(block_size=16, seed=1),
-            use_tree_sketch=True, m_hint=g.m)
+            tree=TreeConfig(block_size=16, seed=1), m_hint=g.m)
         pipe, fresh = StreamSparsifier(g.n, cfg), StreamSparsifier(g.n, cfg)
         for e in g.edges[:50]:
             pipe.push(e)
@@ -285,8 +298,7 @@ class TestPipelineStats:
         block = 100
         pipe = StreamSparsifier(g.n, StreamPipelineConfig(
             online=OnlineConfig(c=20.0, seed=2),
-            tree=TreeConfig(block_size=block), use_tree_sketch=True,
-            m_hint=g.m))
+            tree=TreeConfig(block_size=block), m_hint=g.m))
         carries = 0
         for e in g.edges:
             pipe.push(e)
@@ -295,8 +307,7 @@ class TestPipelineStats:
                 pipe.tree.gram
         s = pipe.stats()
         assert s == {"sampler": pipe.sampler.stats(),
-                     "tree": pipe.tree.stats(),
-                     "max_resident": pipe.max_resident}
+                     "tree": pipe.tree.stats()}
         t = s["tree"]
         # every row is certified from the tower's degrees or scored
         assert s["sampler"]["scored"] + s["sampler"]["certified"] == g.m
@@ -307,4 +318,21 @@ class TestPipelineStats:
         # for each of the others, and only a merge rebuilds the Gram
         assert t["merges"] == t["carries"] - bin(t["carries"]).count("1")
         assert t["gram_builds"] == 1 + t["carries"] // 2
-        assert t["resident"] <= t["peak_resident"] == s["max_resident"]
+        assert t["resident"] <= t["peak_resident"]
+
+    @given(st.floats(min_value=0.5, max_value=50.0),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_every_kept_edge_reaches_the_tower(self, c, block, seed):
+        # the sampler's kept edges are the tower's pushes, and every edge
+        # is certified from the tower's degrees or scored on its inverse
+        g = gen_synthetic(8, 150, seed=seed % 2**16)
+        pipe = StreamSparsifier(g.n, StreamPipelineConfig(
+            online=OnlineConfig(c=c, seed=seed),
+            tree=TreeConfig(block_size=block, seed=seed)))
+        for i, e in enumerate(g.edges, 1):
+            pipe.push(e)
+            s = pipe.sampler.stats()
+            assert pipe.tree.pushed == pipe.sampler.kept_count == s["kept"]
+            assert s["scored"] + s["certified"] == i

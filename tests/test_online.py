@@ -167,20 +167,21 @@ class TestCertifiedKeeps:
            st.floats(min_value=0.05, max_value=5.0), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_certified_rows_have_p_one(self, seed, n, c, tower):
-        # on the sampler's own sketch, or on the tower's: with blocks of
-        # one edge, every kept row carries and every other carry merges
-        pipe = StreamSparsifier(n, StreamPipelineConfig(
-            online=OnlineConfig(c=c, seed=seed),
-            tree=TreeConfig(block_size=1, seed=seed), use_tree_sketch=tower))
-        state = pipe.sampler
+        # on the sampler's own sketch, or on a pipeline's tower: with
+        # blocks of one edge, every kept row carries and every other carry
+        # merges
+        if tower:
+            state = StreamSparsifier(n, StreamPipelineConfig(
+                online=OnlineConfig(c=c, seed=seed),
+                tree=TreeConfig(block_size=1, seed=seed))).sampler
+        else:
+            state = OnlineSamplerState(n, c, seed=seed)
         certified = 0
         for e in _stream(seed, n, 60):
             G = state.sketch.gram.copy()
             kept = state.kept_count
             # pipe.push, with the kept edge in hand
             _, out = state.process_edge(e)
-            if out is not None:
-                pipe.tree.push(out)
             if state.stats()["certified"] == certified:
                 continue
             certified += 1
@@ -190,7 +191,10 @@ class TestCertifiedKeeps:
                 assert c * ell >= 1.0
         s = state.stats()
         assert s["scored"] + s["certified"] == 60
-        assert pipe.tree.merges >= pipe.tree.pushed // 2
+        if tower:
+            tree = state.sketch
+            assert tree.pushed == state.kept_count
+            assert tree.merges >= tree.pushed // 2
 
     def test_margin(self):
         # after one unit row, d_0 = d_1 = 1 and the pair's resistance is 1:
@@ -229,11 +233,11 @@ class TestCertifiedKeeps:
 
 class TestProviderMode:
     """The sampler on a sketch it does not own: the tower of a
-    StreamSparsifier in working-memory mode."""
+    StreamSparsifier, which it appends its kept edges to."""
 
     def test_external_sketch_used(self):
         # two components: {0..5} and the pair {6, 7}; scores read the
-        # tower's Gram, and processing rows leaves the tower as it was
+        # tower's Gram, and the tower gains exactly the kept edges
         g = gen_synthetic(6, 60, seed=3)
         tree = MergeReduceTree(8, TreeConfig(block_size=16,
                                              identity_reducer=True))
@@ -252,10 +256,15 @@ class TestProviderMode:
         assert state.score(IncidenceRow(0, 7, 1.0)) == math.inf
         assert_grounded(tree._inverse, G)
         assert state.stats()["refreshes"] == 1
-        for e in gen_synthetic(8, 40, seed=5).edges:
-            state.process_edge(e)
-        assert state.kept_count > 0 and tree.pushed == g.m + 1
-        assert np.array_equal(tree.gram, G)
+        kept = [out for _, out in map(state.process_edge,
+                                      gen_synthetic(8, 40, seed=5).edges)
+                if out is not None]
+        assert 0 < state.kept_count == len(kept) < 40
+        assert tree.pushed == g.m + 1 + len(kept)
+        # the identity reducer keeps every pushed edge in arrival order
+        assert tree.sparsifier().edges == \
+               g.edges + [WeightedEdge(6, 7, 2.5)] + kept
+        assert np.array_equal(tree.gram, laplacian(tree.sparsifier()))
 
     def test_keeps_no_sketch_of_its_own(self):
         # the tower's Gram is the scoring sketch, so the sampler builds
@@ -264,7 +273,7 @@ class TestProviderMode:
         g = gen_synthetic(20, 3000, seed=4)
         cfg = StreamPipelineConfig(
             online=OnlineConfig(c=20.0, seed=2), tree=TreeConfig(block_size=100),
-            use_tree_sketch=True, m_hint=g.m)
+            m_hint=g.m)
         pipe = StreamSparsifier(g.n, cfg)
         assert pipe.sampler.sketch is pipe.tree
         for e in g.edges:
@@ -275,8 +284,7 @@ class TestProviderMode:
                         "block_folds": 32, "joins": 0, "refreshes": 6,
                         "drift": 0.0},
             "tree": {"pushed": 1177, "carries": 11, "merges": 8,
-                     "resident": 362, "peak_resident": 402, "gram_builds": 6},
-            "max_resident": 402}
+                     "resident": 362, "peak_resident": 402, "gram_builds": 6}}
         out = pipe.result()
         assert out.m == 362
         assert sum(e.w for e in out.edges) == pytest.approx(16363.6924256527,
@@ -353,6 +361,7 @@ class TestOneStore:
         state = OnlineSamplerState(4, c=2.0, sketch=tree)
         kept, out = state.process_edge(WeightedEdge(0, 1, 1.5))
         assert kept and out == WeightedEdge(0, 1, 1.5)
+        assert tree.sparsifier().edges == [out]     # the tower holds it
         with pytest.raises(ValueError):
             state.finalize()
         with pytest.raises(ValueError):
@@ -382,7 +391,7 @@ class TestBlockedInverse:
         # read after every push takes it in
         cfg = StreamPipelineConfig(
             online=OnlineConfig(c=1e9, seed=seed),
-            tree=TreeConfig(block_size=block, seed=seed), use_tree_sketch=True)
+            tree=TreeConfig(block_size=block, seed=seed))
         pipe = StreamSparsifier(7, cfg)
         tree = pipe.tree
         tree._grounded_inverse()
@@ -452,7 +461,7 @@ class TestStats:
         g = gen_synthetic(20, 3000, seed=4)
         cfg = StreamPipelineConfig(
             online=OnlineConfig(c=20.0, seed=2), tree=TreeConfig(block_size=100),
-            use_tree_sketch=True, m_hint=g.m)
+            m_hint=g.m)
         pipe = StreamSparsifier(g.n, cfg)
         for e in g.edges:
             pipe.push(e)
@@ -510,7 +519,7 @@ class TestScaleFree:
         g = gen_synthetic(12, 600, seed=seed)
         cfg = StreamPipelineConfig(
             online=OnlineConfig(c=1.0, seed=seed),
-            tree=TreeConfig(block_size=64, seed=seed), use_tree_sketch=True)
+            tree=TreeConfig(block_size=64, seed=seed))
         want = stream_sparsify(g, cfg)
         got = stream_sparsify(self._scaled(g, k), cfg)
         self._assert_same_sample(got.edges, want.edges, k)
