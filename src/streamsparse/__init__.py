@@ -11,10 +11,9 @@ from .merge_reduce import (MergeReduceTree, OnlineConfig, StreamPipelineConfig,
                            StreamSparsifier, TreeConfig, eps_per_level,
                            mr_sparsify, stream_sparsify)
 from .hypergraph import (Hyperedge, Hypergraph, HyperSamplerConfig,
-                         HyperSamplerState, associated_graph,
-                         balanced_hyper_sparsify_step, balanced_rho,
-                         fast_hyper_sparsify_step, fast_rho, hyper_energy,
-                         hyper_sparsify, quantize_weight)
+                         HyperSamplerState, associated_graph, balanced_rho,
+                         fast_rho, hyper_energy, hyper_sparsify,
+                         quantize_weight)
 from .balance import (BalanceConfig, BalanceError, WeightAssignment,
                       augmented_graph, clique_pairs, gamma_ok,
                       get_weight_assignment, is_balanced, st_potential)

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .graph import (Graph, SpectralSketch, WeightedEdge, _components,
-                    _grounded_inverse_of, _resistance, laplacian)
+from .graph import (Graph, SpectralSketch, WeightedEdge, _check_vertices,
+                    _components, _grounded_inverse_of, _resistance, laplacian)
 
 if TYPE_CHECKING:
     from .hypergraph import Hyperedge
@@ -122,7 +122,9 @@ def is_balanced(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
                 z: np.ndarray | dict, gamma: float) -> bool:
     """gamma * min over positive-weight pairs of the ratio >= max over all.
     A z whose positive pairs split the clique across components of the
-    augmented Gram matrix has an infinite ratio, so is not balanced."""
+    augmented Gram matrix has an infinite ratio, so is not balanced. A
+    vertex of e outside [0, n) raises ValueError."""
+    _check_vertices(e, len(getattr(sketch, "gram", sketch)))   # the Gram is n x n
     pairs = clique_pairs(e.vertices)
     if isinstance(z, dict):
         z = np.array([z[p] for p in pairs])
@@ -146,8 +148,10 @@ def get_weight_assignment(sketch: SpectralSketch | np.ndarray, e: "Hyperedge",
     1/z_d and lam <= (gamma - 1) / (2 gamma q_max) < z_d.
 
     The shift amount is capped by the donor's remaining weight (keeps all
-    weights non-negative and conserves the total).
+    weights non-negative and conserves the total). A vertex of e outside
+    [0, n) raises ValueError.
     """
+    _check_vertices(e, len(getattr(sketch, "gram", sketch)))   # the Gram is n x n
     pairs = clique_pairs(e.vertices)
     if len(pairs) == 1:
         return WeightAssignment(pairs, np.array([e.w]))

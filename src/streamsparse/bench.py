@@ -58,9 +58,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if (min(self.trials, self.probe_trials, self.tree_probe_trials,
-                self.batch_size) < 1 or any(b <= 0 for b in self.budgets)):
+                self.batch_size) < 1 or any(b <= 0 for b in self.budgets)
+                or self.tolerance < 0):
             raise ValueError("trial and probe counts and batch_size must be "
-                             ">= 1 and budgets positive")
+                             ">= 1, budgets positive and tolerance >= 0")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")

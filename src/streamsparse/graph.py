@@ -39,6 +39,13 @@ def _check_row(row, n: int) -> None:
         raise ValueError(f"{row} needs a positive finite scale or weight")
 
 
+def _check_vertices(e, n: int) -> None:
+    """Raise ValueError unless every vertex of the hyperedge e, whose
+    vertices are sorted, lies in [0, n)."""
+    if e.vertices[0] < 0 or e.vertices[-1] >= n:
+        raise ValueError(f"hyperedge {e.vertices} out of range for n={n}")
+
+
 @dataclass
 class Graph:
     """Weighted multigraph; edge order is stream arrival order."""
@@ -177,7 +184,7 @@ class _GroundedInverse:
     more, or a marked change, are taken in by one rebuild from G.
     """
 
-    def __init__(self, n: int, refresh_every: int):
+    def __init__(self, n: int):
         self.M = np.eye(n)                  # G = 0: every vertex a root
         self.labels = np.arange(n)
         self.components = n
@@ -185,7 +192,7 @@ class _GroundedInverse:
         self._Y = np.zeros((n, _BLOCK))     # columns past _pending are zero
         self._pending = 0
         self._size = np.ones(n, dtype=np.intp)  # component size by root
-        self._refresh_every = refresh_every
+        self._refresh_every = _REFRESH_EVERY
         self._since_refresh = 0
         self.folds = 0
         self.block_folds = 0
@@ -347,7 +354,7 @@ class _GroundedInverse:
 def _grounded_inverse_of(G: np.ndarray) -> _GroundedInverse:
     """A one-off grounded inverse of the Gram matrix G: labels read from
     G's nonzero pattern, s its largest diagonal entry."""
-    inv = _GroundedInverse(len(G), _REFRESH_EVERY)
+    inv = _GroundedInverse(len(G))
     inv.rebuild(G)
     return inv
 
@@ -450,7 +457,7 @@ class SpectralSketch:
         self.n = n
         self.rows: list[WeightedEdge] = []
         self._gram = np.zeros((n, n))
-        self._inverse = _GroundedInverse(n, _REFRESH_EVERY)
+        self._inverse = _GroundedInverse(n)
 
     def _grounded_inverse(self) -> _GroundedInverse:
         """The grounded inverse with every row appended so far taken in."""
@@ -479,14 +486,10 @@ class SpectralSketch:
         return len(self.rows)
 
 
-def rayleigh_error(L: np.ndarray, L_hat: np.ndarray,
-                   two_sided: bool = True) -> float:
-    """Multiplicative sparsifier error: the extreme generalized eigenvalue of
-    the pencil (L - L_hat, L) restricted to image(L).
-
-    two_sided=True (default) returns the largest magnitude; False returns the
-    largest (signed) eigenvalue only.
-    """
+def rayleigh_error(L: np.ndarray, L_hat: np.ndarray) -> float:
+    """Multiplicative sparsifier error: the largest magnitude of a
+    generalized eigenvalue of the pencil (L - L_hat, L) restricted to
+    image(L)."""
     L = np.asarray(L, dtype=float)
     L_hat = np.asarray(L_hat, dtype=float)
     vals, vecs, lam_max, keep = _spectrum(L)
@@ -504,6 +507,4 @@ def rayleigh_error(L: np.ndarray, L_hat: np.ndarray,
     scale = 1.0 / np.sqrt(vals[keep])
     D = (V * scale).T @ (L - L_hat) @ (V * scale)
     ev = np.linalg.eigvalsh((D + D.T) / 2.0)
-    if two_sided:
-        return float(np.abs(ev).max())
-    return float(ev.max())
+    return float(np.abs(ev).max())

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .balance import clique_pairs, get_weight_assignment
-from .graph import Graph, WeightedEdge
+from .graph import Graph, WeightedEdge, _check_vertices
 from .online import _CERTIFY_MARGIN, OnlineSamplerState, default_c
 from .rng import UniformByIndex, spawn_seed
 
@@ -64,12 +64,6 @@ def _rescaled(e: Hyperedge, factor: float) -> Hyperedge:
     object.__setattr__(out, "vertices", e.vertices)
     object.__setattr__(out, "w", w)
     return out
-
-
-def _check_vertices(e: Hyperedge, n: int) -> None:
-    """Raise ValueError unless every vertex of e lies in [0, n)."""
-    if e.vertices[0] < 0 or e.vertices[-1] >= n:
-        raise ValueError(f"hyperedge {e.vertices} out of range for n={n}")
 
 
 @dataclass
@@ -202,20 +196,47 @@ class HyperSamplerState:
         u, v = np.array(clique_pairs(e.vertices), dtype=np.intp).T
         return e.w * float(inv.resistance(u, v).max())
 
-    def _decide(self, e: Hyperedge, p: float, score: float) -> HyperDecision:
+    # -- the two sampling rules, each returning (p, score) -------------
+
+    def _fast(self, e: Hyperedge) -> tuple[float, float]:
+        """Feed every clique pair at weight w(e) to the row sampler, then
+        p = min(1, rho * max pair resistance), or p = 1 when the sketch's
+        weighted degrees certify e."""
+        for u, v in clique_pairs(e.vertices):
+            self.sampler._sample(u, v, e.w)
+        G = self.sampler.sketch.gram
+        d = float(min(G[x, x] for x in e.vertices))
+        if self.cfg.rho * e.w >= d * _CERTIFY_MARGIN:
+            self._certified += 1
+            return 1.0, e.w / d if d else math.inf
+        score = self._pair_scores(e)
+        return min(1.0, self.cfg.rho * score), score
+
+    def _balanced(self, e: Hyperedge) -> tuple[float, float]:
+        """Split w(e) across the clique with a balanced assignment, feed the
+        pairs of weight z > 0, then p = min(1, 2 * rho * max pair score). A
+        balancing failure (iteration cap) propagates as BalanceError."""
+        assignment = get_weight_assignment(self.sampler.sketch, e)
+        self._shifts += max(len(assignment.trace) - 1, 0)   # a pair has no trace
+        for (u, v), z in zip(assignment.pairs, assignment.z.tolist()):
+            if z > 0:
+                self.sampler._sample(u, v, z)
+        score = self._pair_scores(e)
+        return min(1.0, 2.0 * self.cfg.rho * score), score
+
+    def step(self, e: Hyperedge) -> HyperDecision:
+        """Run the configured rule on e and keep it with probability p, the
+        draw keyed by (seed, hyperedge index). A vertex outside [0, n)
+        raises ValueError before any state changes."""
+        _check_vertices(e, self.n)
+        p, score = (self._balanced(e) if self.cfg.variant == "balanced"
+                    else self._fast(e))
         idx = self.seen
         self.seen += 1
         kept = p >= 1.0 or self._draws.uniform(idx) < p
         if kept:
             self.kept.append((e, 1.0 / p))
         return HyperDecision(kept, p, score)
-
-    # -- the two sampling rules ----------------------------------------
-
-    def step(self, e: Hyperedge) -> HyperDecision:
-        if self.cfg.variant == "balanced":
-            return balanced_hyper_sparsify_step(self, e)
-        return fast_hyper_sparsify_step(self, e)
 
     def sparsifier(self) -> Hypergraph:
         """Kept hyperedges with weights scaled by 1/p, in arrival order."""
@@ -231,43 +252,6 @@ class HyperSamplerState:
         return {"seen": self.seen, "certified": self._certified,
                 "kept": len(self.kept), "shifts": self._shifts,
                 "sampler": self.sampler.stats()}
-
-
-def fast_hyper_sparsify_step(state: HyperSamplerState,
-                             e: Hyperedge) -> HyperDecision:
-    """Feed every clique pair at weight w(e) to the row sampler, then keep
-    the hyperedge with probability min(1, rho * max pair resistance), or
-    with p = 1 when the sketch's weighted degrees certify it."""
-    _check_vertices(e, state.n)
-    for u, v in clique_pairs(e.vertices):
-        state.sampler._sample(u, v, e.w)
-    G = state.sampler.sketch.gram
-    d = float(min(G[x, x] for x in e.vertices))
-    if state.cfg.rho * e.w >= d * _CERTIFY_MARGIN:
-        state._certified += 1
-        return state._decide(e, 1.0, e.w / d if d else math.inf)
-    score = state._pair_scores(e)
-    p = min(1.0, state.cfg.rho * score)
-    return state._decide(e, p, score)
-
-
-def balanced_hyper_sparsify_step(state: HyperSamplerState,
-                                 e: Hyperedge) -> HyperDecision:
-    """Split w(e) across the clique with a balanced assignment, feed the
-    pairs of weight z > 0, and keep with min(1, 2 * rho * max pair score).
-
-    A vertex outside [0, n) raises ValueError before any state changes; a
-    balancing failure (iteration cap) propagates as BalanceError.
-    """
-    _check_vertices(e, state.n)
-    assignment = get_weight_assignment(state.sampler.sketch, e)
-    state._shifts += max(len(assignment.trace) - 1, 0)   # a pair has no trace
-    for (u, v), z in zip(assignment.pairs, assignment.z.tolist()):
-        if z > 0:
-            state.sampler._sample(u, v, z)
-    score = state._pair_scores(e)
-    p = min(1.0, 2.0 * state.cfg.rho * score)
-    return state._decide(e, p, score)
 
 
 def hyper_sparsify(h: Hypergraph, variant: str = "fast", eps: float = 1.0,

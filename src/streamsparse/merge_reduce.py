@@ -22,9 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import (Graph, WeightedEdge, _GroundedInverse, _REFRESH_EVERY,
-                    _accumulate, _check_row, _columns, _stamp,
-                    _unchecked_graph)
+from .graph import (Graph, WeightedEdge, _GroundedInverse, _accumulate,
+                    _check_row, _columns, _stamp, _unchecked_graph)
 from .offline import OfflineSampleConfig, er_sparsify
 from .online import OnlineSamplerState, default_c
 from .rng import spawn_seed
@@ -66,7 +65,7 @@ class MergeReduceTree:
         self._resident = 0          # len(buffer) + sum of level lengths
         self._gram: np.ndarray | None = None   # built on first read after a merge
         self._gram_builds = 0
-        self._inverse = _GroundedInverse(n, _REFRESH_EVERY)
+        self._inverse = _GroundedInverse(n)
         self._inverse.mark_rebuild()           # pushes before a Gram go unnoted
 
     # -- resident accounting -------------------------------------------

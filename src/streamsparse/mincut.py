@@ -16,6 +16,7 @@ import numpy as np
 from .graph import Graph, _accumulate, _columns
 from .merge_reduce import (OnlineConfig, StreamPipelineConfig, TreeConfig,
                            eps_per_level, stream_sparsify)
+from .online import default_c
 
 _BLOCK_SIZE = 256        # block size of the streaming pipeline's tower
 
@@ -83,10 +84,10 @@ def _default_stream_config(cfg: MinCutPipelineConfig,
     part = math.sqrt(1.0 + cfg.eps) - 1.0
     height = max(1, math.ceil(math.log2(max(m / _BLOCK_SIZE, 1))) + 1)
     eps_lvl = eps_per_level(part, height)
-    rho = 4.0 * math.log(max(m, 2)) / (eps_lvl * eps_lvl)
     return StreamPipelineConfig(
         online=OnlineConfig(eps=part, seed=cfg.seed),
-        tree=TreeConfig(block_size=_BLOCK_SIZE, seed=cfg.seed, rho=rho),
+        tree=TreeConfig(block_size=_BLOCK_SIZE, seed=cfg.seed,
+                        rho=default_c(m, eps_lvl)),
         m_hint=m)
 
 

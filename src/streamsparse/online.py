@@ -32,15 +32,14 @@ import math
 
 import numpy as np
 
-from .graph import (Graph, IncidenceRow, SpectralSketch, WeightedEdge,
-                    _check_row, _resistance, _stamp, _unchecked_graph,
-                    pseudo_inverse)
+from .graph import (Graph, SpectralSketch, WeightedEdge, _check_row,
+                    _resistance, _stamp, _unchecked_graph, pseudo_inverse)
 from .rng import UniformByIndex
 
 
-def default_c(m: int, eps: float = 1.0, alpha: float = 4.0) -> float:
-    """Probability multiplier alpha * ln(max(m, 2)) / eps^2."""
-    return alpha * math.log(max(m, 2)) / (eps * eps)
+def default_c(m: int, eps: float = 1.0) -> float:
+    """Probability multiplier 4 ln(max(m, 2)) / eps^2."""
+    return 4.0 * math.log(max(m, 2)) / (eps * eps)
 
 
 # relative margin of a degree bound that certifies p = 1, so that rounding
@@ -64,7 +63,6 @@ class OnlineSamplerState:
             raise ValueError("c must be positive")
         self.n = n
         self.c = c
-        self.seed = seed
         self.kept_count = 0
         self._draws = UniformByIndex(seed)
         self._index = 0
@@ -73,15 +71,9 @@ class OnlineSamplerState:
         self._owns_sketch = sketch is None
         self.sketch = SpectralSketch(n) if sketch is None else sketch
 
-    # -- public API ----------------------------------------------------
-
-    def score(self, row: IncidenceRow) -> float:
-        """Leverage scale^2 d^T G^+ d of the row against the current sketch
-        G; inf when its endpoints lie in different sketch components."""
-        u, v, s = row
-        return self._leverage(u, v, s * s)
-
     def _leverage(self, u: int, v: int, t: float) -> float:
+        """Leverage t d^T G^+ d of a checked row of weight t against the
+        current sketch G; inf when u and v lie in different components."""
         inv = self.sketch._grounded_inverse()
         self._scored += 1
         if inv.components > 1 and inv.labels[u] != inv.labels[v]:
@@ -107,18 +99,6 @@ class OnlineSamplerState:
         kept = WeightedEdge(u, v, t / p)
         self.sketch._append(kept)
         return p, kept
-
-    def process_row(self, row: IncidenceRow) -> tuple[bool, IncidenceRow | None]:
-        """Sample the row's weight scale^2. Returns (kept, reweighted row):
-        the row itself at p = 1, else the row scaled by 1 / sqrt(p). A
-        self-loop row, an endpoint outside [0, n) or a scale outside
-        (0, inf) raises ValueError before any state changes."""
-        _check_row(row, self.n)
-        u, v, s = row
-        p, kept = self._sample(u, v, s * s)
-        if kept is None:
-            return False, None
-        return True, row if p == 1.0 else IncidenceRow(u, v, s / math.sqrt(p))
 
     def process_edge(self, e: WeightedEdge) -> tuple[bool, WeightedEdge | None]:
         """Sample the edge on its weight w; returns (kept, (u, v, w / p)), so

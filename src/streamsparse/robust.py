@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .balance import clique_pairs
-from .graph import (Graph, KernelMismatchError, WeightedEdge, laplacian,
-                    rayleigh_error)
+from .graph import (Graph, KernelMismatchError, WeightedEdge,
+                    _check_vertices, laplacian, rayleigh_error)
 from .hypergraph import (Hyperedge, Hypergraph, HyperSamplerConfig,
                          HyperSamplerState, fast_rho)
 from .online import OnlineSamplerState, default_c
@@ -89,12 +89,16 @@ class RobustWrapperState:
 class RobustHyperWrapperState:
     """Hypergraph wrapper: a graph wrapper over the associated-graph stream
     at eps/(8 r^2) decides the switch times; a separate hypergraph sampler
-    at eps/8 supplies the snapshots."""
+    at eps/8 supplies the snapshots. Its eps/(8 r^2) split covers
+    hyperedges of at most r vertices, so r must be at least 2."""
 
     def __init__(self, n: int, eps: float, r: int, m_hint: int = 1024,
                  seed: int = 0):
+        if r < 2:
+            raise ValueError("r must be at least 2")
         self.n = n
         self.eps = eps
+        self.r = r
         eps_graph = eps / (8.0 * r * r)
         row_hint = max(m_hint * r * (r - 1) // 2, 2)
         self.graph_wrapper = RobustWrapperState(
@@ -107,6 +111,12 @@ class RobustHyperWrapperState:
         self.switch_count = 0
 
     def step(self, e: Hyperedge) -> Hypergraph:
+        """A vertex outside [0, n) or more than r vertices raise ValueError
+        before any state changes."""
+        _check_vertices(e, self.n)
+        if e.size > self.r:
+            raise ValueError(f"hyperedge {e.vertices} has more than "
+                             f"r={self.r} vertices")
         before = self.graph_wrapper.switch_count
         for u, v in clique_pairs(e.vertices):
             self.graph_wrapper.step(WeightedEdge(u, v, e.w))

@@ -114,11 +114,8 @@ class SlidingWindowState:
         self.carries += 1
         self.buffer = deque([StoredItem(item, t, 1.0)])
 
-    def query(self, window: int, literal_union: bool = False) -> Hypergraph:
+    def query(self, window: int) -> Hypergraph:
         """Sparsifier of the last `window` items, in original arrival order.
-
-        literal_union skips index filtering and returns every stored item
-        (valid for windows aligned to whole levels, larger otherwise).
 
         The buffer and then the levels, lowest first, hold the items in
         strictly decreasing arrival index, so the scan stops at the first
@@ -128,7 +125,7 @@ class SlidingWindowState:
         if window < 1:
             raise ValueError("window must be >= 1")
         low = -math.inf
-        if not literal_union and self.last_index is not None:
+        if self.last_index is not None:
             low = self.last_index - window + 1
         edges = []
         for it in itertools.chain(self.buffer, *filter(None, self.levels)):
@@ -147,6 +144,5 @@ def sw_push(state: SlidingWindowState, item: Hyperedge,
     state.push(item, t)
 
 
-def sw_query(state: SlidingWindowState, window: int,
-             literal_union: bool = False) -> Hypergraph:
-    return state.query(window, literal_union)
+def sw_query(state: SlidingWindowState, window: int) -> Hypergraph:
+    return state.query(window)

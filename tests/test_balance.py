@@ -29,6 +29,25 @@ def star_sketch(n, center=0, w=1.0):
     return sk
 
 
+class TestEntryCheck:
+    @pytest.mark.parametrize("vertices", [(-1, 1, 2), (1, 7), (0, 2, 4)])
+    def test_out_of_range_vertex_raises(self, vertices):
+        # the vertex rule of Hyperedge's samplers, on the sketch and on its
+        # Gram matrix passed as an array; in-range hyperedges still pass
+        sk = star_sketch(4)
+        e = Hyperedge(vertices, 1.0)
+        z = np.full(len(clique_pairs(vertices)), 1.0 / len(vertices))
+        for sketch in (sk, sk.gram.copy()):
+            with pytest.raises(ValueError, match="out of range for n=4"):
+                get_weight_assignment(sketch, e)
+            with pytest.raises(ValueError, match="out of range for n=4"):
+                is_balanced(sketch, e, z, 2.0)
+            ok = Hyperedge((1, 2, 3), 1.0)
+            assert get_weight_assignment(sketch, ok).z.sum() == \
+                pytest.approx(1.0)
+            assert is_balanced(sketch, ok, np.full(3, 1.0 / 3), 2.0)
+
+
 class TestStPotential:
     def test_single_edge(self):
         g = Graph(2, [WeightedEdge(0, 1, 5.0)])

@@ -34,13 +34,14 @@ from streamsparse import (BalanceConfig, ExperimentConfig,
     lambda: HyperSamplerConfig(rho=1, eps=math.nan),
     lambda: OnlineConfig(eps=math.nan),
     lambda: BalanceConfig(gamma=math.nan),
+    lambda: ExperimentConfig(tolerance=-1),
 ], ids=["window-eps0", "window-eps-neg", "window-rho0", "window-rho-neg",
         "hyper-eps0", "hyper-eps-neg", "online-eps0", "online-eps-neg",
         "tree-rho0", "tree-rho-neg", "tree-rho-nan", "tree-rho-inf",
         "offline-rho0", "offline-rho-nan", "offline-rho-inf",
         "experiment-batch0", "sampler-c-nan", "window-eps-nan",
         "window-rho-nan", "hyper-rho-nan", "hyper-eps-nan", "online-eps-nan",
-        "balance-gamma-nan"])
+        "balance-gamma-nan", "experiment-tolerance-neg"])
 def test_bad_values_fail_at_construction(build):
     with pytest.raises(ValueError):
         build()

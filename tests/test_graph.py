@@ -301,7 +301,7 @@ class TestGroundedInverse:
             inv = sketch._grounded_inverse()
             assert_grounded(inv, sketch.gram)
         assert inv.folds == 3 * _BLOCK and inv.refreshes == 0
-        built = _GroundedInverse(n, 1000)
+        built = _GroundedInverse(n)
         built.rebuild(sketch.gram)
         assert_grounded(built, sketch.gram)
         assert built.s == sketch.gram.diagonal().max()
@@ -333,7 +333,7 @@ class TestGroundedInverse:
         inv = sketch._inverse
         for _ in range(_CATCH_UP + 1):
             sketch.append(IncidenceRow(0, 1, 1.0))
-        assert inv.stats() == _GroundedInverse(4, _REFRESH_EVERY).stats()
+        assert inv.stats() == _GroundedInverse(4).stats()
         assert np.array_equal(inv.M, np.eye(4))
         assert sketch._grounded_inverse().resistance(0, 1) == \
                pytest.approx(1.0 / (_CATCH_UP + 1), rel=1e-12)
@@ -476,12 +476,6 @@ class TestRayleighError:
         assert rayleigh_error(L, 1.25 * L) == pytest.approx(0.25, abs=1e-9)
         assert rayleigh_error(L, 0.75 * L) == pytest.approx(0.25, abs=1e-9)
 
-    def test_one_sided_signs(self):
-        g = triangle()
-        L = laplacian(g)
-        # L - 1.25 L is negative definite on the image: signed max is negative
-        assert rayleigh_error(L, 1.25 * L, two_sided=False) == pytest.approx(-0.25, abs=1e-9)
-
     def test_dropped_edge_scores_one(self):
         # a sparsifier missing all weight across some cut has error exactly 1
         g = path(3)
@@ -534,7 +528,7 @@ def ref_pseudo_inverse(L):
     return (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
 
 
-def ref_rayleigh_error(L, L_hat, two_sided):
+def ref_rayleigh_error(L, L_hat):
     vals, vecs = np.linalg.eigh(L)
     lam_max = vals[-1] if len(vals) else 0.0
     if lam_max <= 0:
@@ -551,9 +545,7 @@ def ref_rayleigh_error(L, L_hat, two_sided):
     scale = 1.0 / np.sqrt(vals[keep])
     D = (V * scale).T @ (L - L_hat) @ (V * scale)
     ev = np.linalg.eigvalsh((D + D.T) / 2.0)
-    if two_sided:
-        return float(np.abs(ev).max())
-    return float(ev.max())
+    return float(np.abs(ev).max())
 
 
 def ref_effective_resistance(L, u, v):
@@ -601,9 +593,8 @@ class TestSpectralCutoff:
             a, c = rng.choice(n, size=2, replace=False)
             hat.append(WeightedEdge(int(a), int(c), 1.0))
         L_hat = laplacian(Graph(n, hat))
-        for two_sided in (True, False):
-            assert (outcome(rayleigh_error, L, L_hat, two_sided=two_sided)
-                    == outcome(ref_rayleigh_error, L, L_hat, two_sided))
+        assert (outcome(rayleigh_error, L, L_hat)
+                == outcome(ref_rayleigh_error, L, L_hat))
         for u, v in zip(us.tolist(), vs.tolist()):
             assert (outcome(effective_resistance, g, u, v)
                     == outcome(ref_effective_resistance, L, u, v))

@@ -50,27 +50,27 @@ class TestExactOnlineLeverages:
 
 class TestSamplerMechanics:
     def test_score_matches_grounded_formula(self):
-        # a row inside a sketch component scores scale^2 d^T G^+ d; a row
+        # a row inside a sketch component scores w d^T G^+ d; a row
         # joining two components scores inf and is kept with p = 1
         state = OnlineSamplerState(5, c=2.0, seed=3)
-        rows = [IncidenceRow(0, 1, 1.0), IncidenceRow(1, 2, 1.5),
-                IncidenceRow(0, 2, 0.7), IncidenceRow(3, 4, 2.0),
-                IncidenceRow(0, 1, 0.3), IncidenceRow(2, 0, 1.1),
-                IncidenceRow(1, 2, 0.2), IncidenceRow(2, 3, 1.0),
-                IncidenceRow(4, 0, 0.5), IncidenceRow(1, 3, 0.4)]
+        rows = [WeightedEdge(0, 1, 1.0), WeightedEdge(1, 2, 1.5 ** 2),
+                WeightedEdge(0, 2, 0.7 ** 2), WeightedEdge(3, 4, 4.0),
+                WeightedEdge(0, 1, 0.3 ** 2), WeightedEdge(2, 0, 1.1 ** 2),
+                WeightedEdge(1, 2, 0.2 ** 2), WeightedEdge(2, 3, 1.0),
+                WeightedEdge(4, 0, 0.5 ** 2), WeightedEdge(1, 3, 0.4 ** 2)]
         G = np.zeros((5, 5))
         for r in rows:
-            got = state.score(r)
+            got = state._leverage(*r)
             labels = _components(G)
             if labels[r.u] != labels[r.v]:
                 assert got == math.inf
             else:
-                want = r.scale ** 2 * _resistance(pseudo_inverse(G), r.u, r.v)
+                want = r.w * _resistance(pseudo_inverse(G), r.u, r.v)
                 assert got == pytest.approx(want, rel=1e-9)
-            kept, rw = state.process_row(r)
+            kept, rw = state.process_edge(r)
             assert kept or got < math.inf
             if kept:
-                _stamp(G, r.u, r.v, rw.scale ** 2)
+                _stamp(G, r.u, r.v, rw.w)
                 assert_grounded(state.sketch._grounded_inverse(), G)
         assert state.kept_count < len(rows)
 
@@ -80,7 +80,7 @@ class TestSamplerMechanics:
         fresh = OnlineSamplerState(6, c=0.5, seed=4)
         for u, v in ((-1, 2), (2, 6), (1, 1)):
             with pytest.raises(ValueError):
-                state.process_row(IncidenceRow(u, v, 1.0))
+                state.process_edge(WeightedEdge(u, v, 1.0))
         assert state.stats() == fresh.stats()
         assert [state.process_edge(e) for e in g.edges] == \
                [fresh.process_edge(e) for e in g.edges]
@@ -92,9 +92,6 @@ class TestSamplerMechanics:
         fresh = OnlineSamplerState(6, c=0.5, seed=4)
         with pytest.raises(ValueError):
             state.process_edge(WeightedEdge(0, 1, w))
-        scale = math.sqrt(w) if w >= 0 else w
-        with pytest.raises(ValueError):
-            state.process_row(IncidenceRow(0, 1, scale))
         assert state.stats() == fresh.stats()
         assert [state.process_edge(e) for e in g.edges] == \
                [fresh.process_edge(e) for e in g.edges]
@@ -124,9 +121,9 @@ class TestSamplerMechanics:
         assert state.finalize().edges[:mid.m] == mid.edges
 
     def test_default_c(self):
-        assert default_c(100, 1.0, 4.0) == pytest.approx(4 * math.log(100))
-        assert default_c(1, 1.0, 4.0) == pytest.approx(4 * math.log(2))
-        assert default_c(100, 0.5, 4.0) == pytest.approx(16 * math.log(100))
+        assert default_c(100, 1.0) == pytest.approx(4 * math.log(100))
+        assert default_c(1, 1.0) == pytest.approx(4 * math.log(2))
+        assert default_c(100, 0.5) == pytest.approx(16 * math.log(100))
 
 
 class TestSamplerQuality:
@@ -151,8 +148,7 @@ class TestSamplerQuality:
         state = OnlineSamplerState(10, c=8 * math.log(400))
         score_sum = 0.0
         for e in g.edges:
-            score_sum += min(state.score(IncidenceRow(e.u, e.v,
-                                                      math.sqrt(e.w))), 1.0)
+            score_sum += min(state._leverage(*e), 1.0)
             state.process_edge(e)
         exact = exact_online_leverages(g).sum()
         assert 0.3 * exact < score_sum < 4.0 * exact
@@ -251,9 +247,9 @@ class TestProviderMode:
         Gp = pseudo_inverse(G)
         for u, v in ((0, 1), (2, 5), (6, 7)):
             want = 1.5 * _resistance(Gp, u, v)
-            got = state.score(IncidenceRow(u, v, math.sqrt(1.5)))
+            got = state._leverage(u, v, 1.5)
             assert got == pytest.approx(want, rel=1e-9)
-        assert state.score(IncidenceRow(0, 7, 1.0)) == math.inf
+        assert state._leverage(0, 7, 1.0) == math.inf
         assert_grounded(tree._inverse, G)
         assert state.stats()["refreshes"] == 1
         kept = [out for _, out in map(state.process_edge,
@@ -307,10 +303,9 @@ class TestOneStore:
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=2, max_value=9),
            st.floats(min_value=0.05, max_value=50.0),
-           st.integers(min_value=0, max_value=12),
-           st.lists(st.booleans(), min_size=40, max_size=40))
+           st.integers(min_value=0, max_value=12))
     @settings(max_examples=40, deadline=None)
-    def test_kept_edges_are_the_sketch(self, seed, n, c, fed, as_rows):
+    def test_kept_edges_are_the_sketch(self, seed, n, c, fed):
         stream = _stream(seed, n, fed + 40)
         state = OnlineSamplerState(n, c, seed=seed)
         # rows appended to the sketch directly are kept edges too
@@ -325,36 +320,26 @@ class TestOneStore:
             return p, kept
 
         state._sample = recording
-        for e, as_row in zip(stream[fed:], as_rows):
+        for e in stream[fed:]:
             G = state.sketch.gram.copy()
             before = state.finalize().edges
-            if as_row:
-                row = IncidenceRow(e.u, e.v, math.sqrt(e.w))
-                kept, out = state.process_row(row)
-                t = row.scale * row.scale
-            else:
-                kept, out = state.process_edge(e)
-                t = e.w
+            kept, out = state.process_edge(e)
             p = ps[-1]
             labels = _components(G)
             if labels[e.u] != labels[e.v]:
                 assert p == 1.0
             else:
-                ell = t * _resistance(pseudo_inverse(G), e.u, e.v)
+                ell = e.w * _resistance(pseudo_inverse(G), e.u, e.v)
                 assert p == pytest.approx(min(1.0, c * ell), rel=1e-7)
             after = state.finalize().edges
             assert np.array_equal(state.sketch.gram, laplacian(state.finalize()))
             if not kept:
                 assert out is None and after == before
                 continue
-            assert after == before + [WeightedEdge(e.u, e.v, t / p)]
-            if as_row:
-                assert out is row if p == 1.0 else \
-                    out == IncidenceRow(e.u, e.v, row.scale / math.sqrt(p))
-            else:
-                assert out == after[-1]
-                if p == 1.0:
-                    assert out.w == e.w
+            assert after == before + [WeightedEdge(e.u, e.v, e.w / p)]
+            assert out == after[-1]
+            if p == 1.0:
+                assert out.w == e.w
 
     def test_a_sampler_reading_a_tower_keeps_no_edges(self):
         tree = MergeReduceTree(4, TreeConfig(block_size=4))
@@ -551,5 +536,4 @@ class TestScaleFree:
         assert kept and out.w == 1e17
         # against the sketch of that one edge, a parallel copy scores
         # w * (1 / w) = 1 at that scale too
-        assert state.score(IncidenceRow(0, 1, math.sqrt(1e17))) == \
-               pytest.approx(1.0, rel=1e-12)
+        assert state._leverage(0, 1, 1e17) == pytest.approx(1.0, rel=1e-12)

@@ -204,6 +204,35 @@ class TestHyperWrapper:
         assert hstate.exposed is first
 
 
+    @pytest.mark.parametrize("bad", [Hyperedge((0, 1, 9), 1.0),
+                                     Hyperedge((-1, 2), 1.0),
+                                     Hyperedge((0, 1, 2, 3), 1.0)],
+                             ids=["high", "negative", "above-rank"])
+    def test_rejects_before_any_change(self, bad):
+        # a vertex outside [0, n), or more than r vertices, raises before
+        # either inner sampler sees a pair; the valid steps that follow
+        # give what they give on a fresh wrapper
+        n, r = 4, 3
+        state = RobustHyperWrapperState(n, 0.8, r=r, m_hint=32, seed=2)
+        fresh = RobustHyperWrapperState(n, 0.8, r=r, m_hint=32, seed=2)
+        with pytest.raises(ValueError):
+            state.step(bad)
+        assert state.stats() == fresh.stats()
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            size = int(rng.integers(2, r + 1))
+            e = Hyperedge(tuple(int(v) for v in rng.choice(n, size=size,
+                                                           replace=False)),
+                          float(rng.uniform(1.0, 3.0)))
+            assert state.step(e).hyperedges == fresh.step(e).hyperedges
+        assert state.stats() == fresh.stats()
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_rank_below_two_rejected(self, r):
+        with pytest.raises(ValueError):
+            RobustHyperWrapperState(4, 0.8, r=r)
+
+
 class TestGame:
     def test_empty_rounds(self):
         state = keep_all_state(4, 0.5)

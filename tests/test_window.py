@@ -114,14 +114,6 @@ class TestIdentityQueries:
             assert got.m >= 1
             assert got.hyperedges[-1].vertices == e.vertices
 
-    def test_literal_union_superset(self):
-        rng = np.random.default_rng(3)
-        stream = random_stream(rng, m=50)
-        st = identity_state(8, 8)
-        for e in stream:
-            sw_push(st, e)
-        assert sw_query(st, 5, literal_union=True).m >= sw_query(st, 5).m
-
 
 class TestSampledQueries:
     def test_index_filter_invariant(self):
@@ -169,14 +161,14 @@ class TestSampledQueries:
         assert st.stored() < 400
 
 
-def reference_query(state, window, literal_union=False):
+def reference_query(state, window):
     """The query as a filter over every stored item, a sort on the arrival
     index and a rescale of every item."""
     items = list(state.buffer)
     for c in state.levels:
         if c:
             items.extend(c)
-    if not literal_union and state.last_index is not None:
+    if state.last_index is not None:
         low = state.last_index - window + 1
         items = [it for it in items if it.index >= low]
     items.sort(key=lambda it: it.index)
@@ -201,16 +193,15 @@ def window_runs(draw):
         seed=draw(st.integers(min_value=0, max_value=2**16)),
         rho=draw(st.sampled_from((None, 0.05, 0.5))),
         identity_coreset=draw(st.booleans()))
-    queries = draw(st.lists(st.tuples(st.integers(1, 400), st.booleans()),
-                            min_size=1, max_size=4))
+    queries = draw(st.lists(st.integers(1, 400), min_size=1, max_size=4))
     return n, cfg, stream, queries
 
 
 class TestQueryScan:
     @staticmethod
-    def _assert_as_reference(state, window, literal):
-        got = state.query(window, literal).hyperedges
-        want = reference_query(state, window, literal)
+    def _assert_as_reference(state, window):
+        got = state.query(window).hyperedges
+        want = reference_query(state, window)
         assert [(e.vertices, e.w.hex()) for e in got] == \
                [(e.vertices, e.w.hex()) for e in want]
 
@@ -226,7 +217,7 @@ class TestQueryScan:
             t += gap
             state.push(e, t)
             if k % 7 == 0:
-                for window, literal in queries:
-                    self._assert_as_reference(state, window, literal)
-        for window, literal in queries:
-            self._assert_as_reference(state, window, literal)
+                for window in queries:
+                    self._assert_as_reference(state, window)
+        for window in queries:
+            self._assert_as_reference(state, window)
