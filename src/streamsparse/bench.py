@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (Graph, KernelMismatchError, WeightedEdge, _accumulate,
-                    _columns, _grounded_inverse_of, laplacian,
-                    rayleigh_error)
+                    _columns, _edge_list, _grounded_inverse_of,
+                    _unchecked_graph, laplacian, rayleigh_error)
 from .io import load_snap
 from .merge_reduce import (MergeReduceTree, OnlineConfig, StreamPipelineConfig,
                            StreamSparsifier, TreeConfig)
@@ -118,8 +118,8 @@ def gen_synthetic(n: int, m: int, seed: int,
         ws = rng.integers(1, 11, size=m).astype(float)
     else:
         ws = rng.uniform(1.0, 10.0, size=m)
-    return Graph(n, [WeightedEdge(int(u), int(v), float(w))
-                     for u, v, w in zip(us, vs, ws)])
+    # valid by construction: distinct endpoints in [0, n), weights in [1, 10]
+    return _unchecked_graph(n, _edge_list(us, vs, ws))
 
 
 # -- per-trial cached data ----------------------------------------------
@@ -157,12 +157,20 @@ class _Trial:
         else:
             self.graph = gen_synthetic(cfg.n, cfg.m, spawn_seed(cfg.seed, 0, index),
                                        cfg.integer_weights)
+        self._columns = None
         self._L = None
         self._lev = None
         self._batch_size = cfg.batch_size
         # the latest tuning run on this trial that ran to the end:
         # (method, params, stored count, sparsifier, seconds)
         self.finished: tuple | None = None
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stream as (u, v, w) columns, for MergeReduceTree.extend."""
+        if self._columns is None:
+            self._columns = _columns(self.graph.edges)
+        return self._columns
 
     @property
     def L(self) -> np.ndarray:
@@ -210,18 +218,28 @@ def _run_capped(tree: MergeReduceTree, push, edges, cap: float
     for e in edges:
         push(e)
         if tree.peak_resident > cap:
-            return tree.peak_resident, None, tree
-    return tree.peak_resident, tree.sparsifier(), tree
+            break
+    return _capped_result(tree, cap)
+
+
+def _capped_result(tree: MergeReduceTree, cap: float
+                   ) -> tuple[int, Graph | None, MergeReduceTree]:
+    """_run_capped's result for a run that pushed until its peak passed
+    cap or the stream ended."""
+    stopped = tree.peak_resident > cap
+    return tree.peak_resident, None if stopped else tree.sparsifier(), tree
 
 
 def _run_merge_reduce(trial: _Trial, block_size: int, cap: float = math.inf
                       ) -> tuple[int, Graph | None, MergeReduceTree]:
-    """The tower over the trial's stream, stopped at cap (see _run_capped)."""
+    """The tower over the trial's stream, stopped at cap (see _run_capped):
+    MergeReduceTree.extend stops at the same push."""
     # rho defaults to block_size / n, so the reduced coresets match the
     # block size and the peak resident count scales with the one knob
     tree = MergeReduceTree(trial.graph.n, TreeConfig(
         block_size=block_size, seed=trial.sample_seed))
-    return _run_capped(tree, tree.push, trial.graph.edges, cap)
+    tree.extend(*trial.columns, cap=cap)
+    return _capped_result(tree, cap)
 
 
 def _run_streaming(trial: _Trial, c: float, block_size: int,

@@ -13,7 +13,7 @@ from .bench import (ExperimentConfig, gen_synthetic, run_experiment,
                     write_csv, write_json_lines)
 from .graph import DisconnectedError
 from .io import (ParseError, load_edge_list, load_hyperedge_list, load_snap,
-                 save_edge_list, save_hyperedge_list)
+                 save_edge_list, save_hyperedge_list, write_edges)
 from .hypergraph import hyper_sparsify
 from .merge_reduce import mr_sparsify, stream_sparsify, StreamPipelineConfig, TreeConfig, OnlineConfig
 from .mincut import MinCutPipelineConfig, stream_mincut
@@ -102,8 +102,7 @@ def _load_graph(args):
 def _cmd_gen(args) -> int:
     g = gen_synthetic(args.n, args.m, args.seed, integer_weights=args.integer)
     fh = _out(args)
-    for u, v, w in g.edges:
-        fh.write(f"{u} {v} {w!r}\n")
+    write_edges(g, fh)
     if fh is not sys.stdout:
         fh.close()
     return 0
@@ -123,8 +122,7 @@ def _cmd_sparsify(args) -> int:
     if args.output:
         save_edge_list(out, args.output)
     else:
-        for u, v, w in out.edges:
-            sys.stdout.write(f"{u} {v} {w!r}\n")
+        write_edges(out, sys.stdout)
     print(f"# kept {out.m} of {g.m} edges", file=sys.stderr)
     return 0
 

@@ -67,6 +67,16 @@ class Graph:
         self.edges.append(e)
 
 
+def _check_block_size(block_size) -> None:
+    """Raise ValueError unless block_size is an integer >= 1: a Python or
+    numpy integer, not a bool or a float."""
+    if (isinstance(block_size, bool)
+            or not isinstance(block_size, (int, np.integer))
+            or block_size < 1):
+        raise ValueError(f"block_size must be an integer >= 1, "
+                         f"got {block_size!r}")
+
+
 def _unchecked_graph(n: int, edges: list[WeightedEdge]) -> Graph:
     """A Graph over edges already known to be valid for n, built without
     the per-edge checks of Graph(...): for graphs made of edges that were
@@ -103,6 +113,14 @@ def _columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Endpoint index arrays and weight array of a sequence of (u, v, w)."""
     a = np.fromiter(itertools.chain.from_iterable(edges), float).reshape(-1, 3)
     return a[:, 0].astype(np.intp), a[:, 1].astype(np.intp), a[:, 2]
+
+
+def _edge_list(u, v, w) -> list[WeightedEdge]:
+    """The edges (u[i], v[i], w[i]) of three columns, the inverse of
+    _columns: Python ints and floats, the same values bit for bit."""
+    # tuple.__new__ builds each edge in C, twice as fast as WeightedEdge(...)
+    return list(map(tuple.__new__, itertools.repeat(WeightedEdge),
+                    zip(u.tolist(), v.tolist(), w.tolist())))
 
 
 _STAMP_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
@@ -287,6 +305,17 @@ class _GroundedInverse:
             return
         if len(unread) < _CATCH_UP:
             unread.append((u, v, t))
+        else:
+            self._unread = None
+
+    def note_rows(self, u, v, t) -> None:
+        """note each row (u[i], v[i], t[i]) in order: they all stay noted,
+        or, past _CATCH_UP rows, the next catch_up rebuilds."""
+        unread = self._unread
+        if unread is None:
+            return
+        if len(unread) + len(u) <= _CATCH_UP:
+            unread.extend(zip(u, v, t))
         else:
             self._unread = None
 

@@ -56,8 +56,14 @@ def load_edge_list(path) -> Graph:
 
 def save_edge_list(g: Graph, path) -> None:
     with open(path, "w") as fh:
-        for u, v, w in g.edges:
-            fh.write(f"{u} {v} {w!r}\n")
+        write_edges(g, fh)
+
+
+def write_edges(g: Graph, fh) -> None:
+    """Write g's edges to the open text file fh as "u v w" lines, each
+    weight as the shortest text that reads back to it bit for bit."""
+    for u, v, w in g.edges:
+        fh.write(f"{u} {v} {float(w)!r}\n")
 
 
 def load_hyperedge_list(path) -> Hypergraph:

@@ -6,6 +6,14 @@ at a level they are merged and reduced (effective-resistance sampling) into
 the next level. The union of all levels plus the buffer is a sparsifier of
 everything pushed so far.
 
+The buffer is a list of edges, since pushes arrive one at a time; every
+level is held as (u, v, w) columns, in the order its items arrived, and a
+reduction (offline._er_sample) takes and returns columns. extend takes a
+whole stream as columns: a carry comes every block_size pushes whatever
+the edges are, so each block is a slice of the stream, carried with no
+Python object per edge, and the tower ends in the same state as after one
+push per edge.
+
 In the streaming pipeline (StreamSparsifier) the tower's sparsifier is
 also the online sampler's scoring sketch, and the sampler appends its kept
 edges to it, so nothing outside the tower stays resident. The tower serves
@@ -23,10 +31,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import (Graph, WeightedEdge, _GroundedInverse, _accumulate,
-                    _check_row, _columns, _stamp, _unchecked_graph)
-from .offline import OfflineSampleConfig, er_sparsify
+                    _check_block_size, _check_row, _columns, _edge_list,
+                    _stamp, _unchecked_graph)
+from .offline import _er_sample, _keep_probabilities
 from .online import OnlineSamplerState, default_c
 from .rng import spawn_seed
+
+# a level's items: endpoint columns (intp) and weights (float64)
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -37,8 +49,7 @@ class TreeConfig:
     identity_reducer: bool = False
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        _check_block_size(self.block_size)
         if self.rho is not None and not 0 < self.rho < math.inf:
             raise ValueError("rho must be positive and finite")
 
@@ -57,12 +68,12 @@ class MergeReduceTree:
         self.n = n
         self.cfg = cfg
         self.buffer: list[WeightedEdge] = []
-        self.levels: list[list[WeightedEdge] | None] = []
+        self.levels: list[Columns | None] = []
         self.pushed = 0
         self.merges = 0
         self.carries = 0
         self.peak_resident = 0
-        self._resident = 0          # len(buffer) + sum of level lengths
+        self._resident = 0          # len(buffer) + items of every level
         self._gram: np.ndarray | None = None   # built on first read after a merge
         self._gram_builds = 0
         self._inverse = _GroundedInverse(n)
@@ -85,13 +96,12 @@ class MergeReduceTree:
 
         Built from the resident items on the first read after a carry that
         merged; pushes then stamp into it. A carry that only parks the block
-        at an empty level 0 keeps the items and their _iter_items order, so
-        it keeps the Gram too. _accumulate adds in _iter_items order, the
-        order the stamps arrive in, so the bits do not depend on when it is
-        read."""
+        at an empty level 0 keeps the items and their _items order, so it
+        keeps the Gram too. _accumulate adds in _items order, the order the
+        stamps arrive in, so the bits do not depend on when it is read."""
         if self._gram is None:
             self._gram = _accumulate(np.zeros((self.n, self.n)),
-                                     *_columns(list(self._iter_items())))
+                                     *self._items())
             self._gram_builds += 1
         return self._gram
 
@@ -113,14 +123,14 @@ class MergeReduceTree:
 
     # -- tower mechanics -----------------------------------------------
 
-    def _reduce(self, items: list[WeightedEdge]) -> list[WeightedEdge]:
+    def _reduce(self, items: Columns) -> Columns:
         if self.cfg.identity_reducer:
             return items
         rho = self.cfg.rho if self.cfg.rho is not None else self.cfg.block_size / self.n
         seed = spawn_seed(self.cfg.seed, self.merges)
         self.merges += 1
-        return er_sparsify(_unchecked_graph(self.n, items),
-                           OfflineSampleConfig(rho, seed)).edges
+        return _er_sample(*items, _keep_probabilities(self.n, *items, rho),
+                          seed)
 
     def push(self, item: WeightedEdge) -> None:
         """Add one edge. Unless the push ends in a carry that merged, the
@@ -144,26 +154,95 @@ class MergeReduceTree:
         self._note_peak()
         if len(self.buffer) < self.cfg.block_size:
             return
-        block = self.buffer
+        block = _columns(self.buffer)
         self.buffer = []
-        self._resident -= len(block)
+        self._resident -= len(block[0])
         self._carry(block)
 
-    def _carry(self, coreset: list[WeightedEdge]) -> None:
+    def extend(self, u, v, w, cap: float = math.inf) -> int:
+        """push each edge (u[i], v[i], w[i]) in order, and return how many
+        were pushed: all of them, or, when a push leaves peak_resident
+        above cap, the pushes up to and with that one (its carry included).
+
+        The tower ends in the state the pushes leave, bit for bit: items,
+        counters, Gram and the inverse's notes. The edges are checked
+        first, as push checks one, and a bad one raises ValueError before
+        any state changes. Once the buffer is empty, each block is a slice
+        of the columns, carried as it is; the slice's pushes stamp a built
+        Gram by one _accumulate, which adds as repeated stamps do."""
+        u, v, w = self._checked_columns(u, v, w)
+        block = self.cfg.block_size
+        taken, m = 0, u.size
+        while taken < m:
+            # the pushes up to the next full buffer or the end of the stream,
+            # cut at the first push whose peak passes cap: pushes only add
+            # to resident, so the peak is then resident after that push
+            k = min(block - len(self.buffer), m - taken)
+            if self.peak_resident > cap:
+                k = 1
+            elif self._resident + k > cap:
+                k = math.floor(cap) - self._resident + 1
+            s = slice(taken, taken + k)
+            taken += k
+            full = len(self.buffer) + k == block
+            if self._gram is not None:
+                _accumulate(self._gram, u[s], v[s], w[s])
+                self._inverse.note_rows(u[s].tolist(), v[s].tolist(),
+                                        w[s].tolist())
+            self.pushed += k
+            self._resident += k
+            self._note_peak()
+            if full:
+                slab = (u[s], v[s], w[s])
+                if self.buffer:
+                    slab = tuple(np.concatenate(pair) for pair
+                                 in zip(_columns(self.buffer), slab))
+                    self.buffer = []
+                self._resident -= block
+                self._carry(slab)
+            else:
+                self.buffer.extend(_edge_list(u[s], v[s], w[s]))
+            if self.peak_resident > cap:
+                break
+        return taken
+
+    def _checked_columns(self, u, v, w) -> Columns:
+        """Copies of (u, v, w) as intp, intp and float64 columns of one
+        length, checked by _check_row's rule: distinct endpoints in [0, n),
+        weights in (0, inf). Raises ValueError otherwise. The levels keep
+        slices of the copies, so a caller's later writes do not reach them."""
+        u, v, w = np.asarray(u), np.asarray(v), np.array(w, dtype=float)
+        if not u.ndim == v.ndim == w.ndim == 1 or not u.size == v.size == w.size:
+            raise ValueError("u, v and w must be 1-d arrays of one length")
+        if u.size and (u.dtype.kind not in "iu" or v.dtype.kind not in "iu"):
+            raise ValueError("endpoints must be integers")
+        n = self.n
+        bad = ((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+               | ~((0 < w) & (w < math.inf)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"edge {i} ({u[i]}, {v[i]}, {w[i]}) is a "
+                             f"self-loop, out of range for n={n} or needs a "
+                             f"positive finite weight")
+        return u.astype(np.intp), v.astype(np.intp), w
+
+    def _carry(self, coreset: Columns) -> None:
         # the block in hand and the level being merged are not resident
         self.carries += 1
         lvl = 0
         while True:
             if lvl >= len(self.levels):
                 self.levels.append(None)
-            if self.levels[lvl] is None:
+            level = self.levels[lvl]
+            if level is None:
                 self.levels[lvl] = coreset
-                self._resident += len(coreset)
+                self._resident += coreset[0].size
                 break
-            merged = self.levels[lvl] + coreset
-            self._resident -= len(self.levels[lvl])
+            merged = tuple(np.concatenate(pair)
+                           for pair in zip(level, coreset))
+            self._resident -= level[0].size
             self.levels[lvl] = None
-            self._note_peak(extra=len(merged) - len(coreset))
+            self._note_peak(extra=level[0].size)
             coreset = self._reduce(merged)
             lvl += 1
         if lvl:
@@ -173,15 +252,16 @@ class MergeReduceTree:
             self._inverse.mark_rebuild()
         self._note_peak()
 
-    def _iter_items(self):
-        for c in reversed(self.levels):
-            if c:
-                yield from c
-        yield from self.buffer
+    def _items(self) -> Columns:
+        """Every resident item as columns: the levels, oldest first, then
+        the buffer."""
+        parts = [c for c in reversed(self.levels) if c is not None]
+        parts.append(_columns(self.buffer))
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
     def sparsifier(self) -> Graph:
         """Union of all level coresets and the buffer (oldest levels first)."""
-        return _unchecked_graph(self.n, list(self._iter_items()))
+        return _unchecked_graph(self.n, _edge_list(*self._items()))
 
     @property
     def height(self) -> int:
@@ -191,8 +271,7 @@ class MergeReduceTree:
 def mr_sparsify(g: Graph, cfg: TreeConfig) -> tuple[Graph, MergeReduceTree]:
     """Run the tower over a whole edge list."""
     tree = MergeReduceTree(g.n, cfg)
-    for e in g.edges:
-        tree.push(e)
+    tree.extend(*_columns(g.edges))
     return tree.sparsifier(), tree
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, WeightedEdge, _accumulate, _columns,
+from .graph import (Graph, _accumulate, _columns, _edge_list,
                     _grounded_inverse_of, _unchecked_graph)
 from .rng import UniformByIndex
 
@@ -45,8 +45,14 @@ def keep_probabilities(g: Graph, rho: float) -> np.ndarray:
     """
     if not 0 < rho < math.inf:
         raise ValueError("rho must be positive and finite")
-    u, v, w = _columns(g.edges)
-    L = _accumulate(np.zeros((g.n, g.n)), u, v, w)
+    return _keep_probabilities(g.n, *_columns(g.edges), rho)
+
+
+def _keep_probabilities(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray,
+                        rho: float) -> np.ndarray:
+    """keep_probabilities of the graph on n vertices with the edges
+    (u[i], v[i], w[i]), for a checked rho."""
+    L = _accumulate(np.zeros((n, n)), u, v, w)
     lev = w * _grounded_inverse_of(L).resistance(u, v)
     lev[lev > _BRIDGE] = 1.0
     return np.minimum(1.0, rho * lev)
@@ -56,14 +62,20 @@ def er_sparsify(g: Graph, cfg: OfflineSampleConfig) -> Graph:
     """Independent effective-resistance sampling, edge order preserved.
 
     Decisions are keyed by (seed, edge index), so the output is reproducible
-    regardless of iteration strategy. The kept edges come from g, so only
-    their reweighted weights w / p are checked, as one array.
+    regardless of iteration strategy. See _er_sample, the array core that
+    the merge-and-reduce tower's reductions call.
     """
-    p = keep_probabilities(g, cfg.rho)
-    keep = UniformByIndex(cfg.seed).uniform_many(np.arange(g.m)) < p
-    kept = [g.edges[i] for i in np.flatnonzero(keep)]
-    w = np.fromiter((e.w for e in kept), float, len(kept)) / p[keep]
+    return _unchecked_graph(g.n, _edge_list(*_er_sample(
+        *_columns(g.edges), keep_probabilities(g, cfg.rho), cfg.seed)))
+
+
+def _er_sample(u: np.ndarray, v: np.ndarray, w: np.ndarray, p: np.ndarray,
+               seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """er_sparsify on columns, given the keep probabilities p: the kept
+    edges' columns (u, v, w / p), in order. The edges are taken as checked,
+    so only the reweighted weights are checked, as one array."""
+    keep = UniformByIndex(seed).uniform_many(np.arange(u.size)) < p
+    w = w[keep] / p[keep]
     if not np.all((0 < w) & (w < math.inf)):
         raise ValueError("reweighted weights must be positive and finite")
-    return _unchecked_graph(g.n, [WeightedEdge(e.u, e.v, x)
-                                  for e, x in zip(kept, w)])
+    return u[keep], v[keep], w

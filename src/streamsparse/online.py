@@ -78,7 +78,8 @@ class OnlineSamplerState:
         self._scored += 1
         if inv.components > 1 and inv.labels[u] != inv.labels[v]:
             return math.inf
-        return t * inv.resistance(u, v)
+        # a Python float, so that a kept weight t / p is one too
+        return t * float(inv.resistance(u, v))
 
     def _sample(self, u: int, v: int, t: float) -> tuple[float, WeightedEdge | None]:
         """Certify or score a checked row of weight t, decide, and append a

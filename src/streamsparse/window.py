@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .graph import _check_block_size
 from .hypergraph import (Hyperedge, Hypergraph, HyperSamplerConfig,
                          HyperSamplerState, _check_vertices, _rescaled,
                          fast_rho)
@@ -39,8 +40,7 @@ class SlidingWindowConfig:
     identity_coreset: bool = False   # keep everything (exact mode, for tests)
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        _check_block_size(self.block_size)
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.rho is not None and not self.rho > 0:

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamsparse import (Graph, Hyperedge, Hypergraph, ParseError,
-                          StreamSparsifier, WeightedEdge, bench, laplacian,
-                          load_edge_list, load_hyperedge_list, load_snap,
-                          pseudo_inverse, save_edge_list, save_hyperedge_list)
+from streamsparse import (Graph, Hyperedge, Hypergraph, MergeReduceTree,
+                          OnlineConfig, ParseError, StreamPipelineConfig,
+                          StreamSparsifier, TreeConfig, WeightedEdge, bench,
+                          cli, laplacian, load_edge_list, load_hyperedge_list,
+                          load_snap, mr_sparsify, online_sparsify,
+                          pseudo_inverse, save_edge_list, save_hyperedge_list,
+                          stream_sparsify)
 from streamsparse.bench import (ExperimentConfig, ExperimentResult, RawRow,
                                 _Trial, _run_merge_reduce, _run_streaming,
                                 _tune, _tune_tree_knob, gen_synthetic,
@@ -477,6 +480,29 @@ class TestCappedProbes:
         assert result.warnings == ref.warnings
         assert ref.tuning[method, budget]["stopped"] == 0
 
+    @given(st.integers(min_value=3, max_value=10),
+           st.integers(min_value=1, max_value=300),
+           st.integers(min_value=0, max_value=2**16),
+           st.integers(min_value=1, max_value=40),
+           st.one_of(st.just(math.inf), st.integers(min_value=0,
+                                                    max_value=150)))
+    @settings(max_examples=60, deadline=None)
+    def test_merge_reduce_run_stops_where_pushes_stop(self, n, m, seed,
+                                                      block, cap):
+        # _run_merge_reduce extends the tower by the trial's columns; it
+        # stops at the push _run_capped's loop of push stops at
+        trial = _Trial(ExperimentConfig(n=n, m=m, seed=seed), 0)
+        count, out, tree = _run_merge_reduce(trial, block, cap)
+        ref = MergeReduceTree(n, TreeConfig(block_size=block,
+                                            seed=trial.sample_seed))
+        ref_count, ref_out, _ = bench._run_capped(ref, ref.push,
+                                                  trial.graph.edges, cap)
+        assert count == ref_count
+        assert tree.stats() == ref.stats()
+        assert (out is None) == (ref_out is None)
+        if out is not None:
+            assert out.edges == ref_out.edges
+
     @given(st.integers(min_value=20, max_value=200),
            st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=100, deadline=None)
@@ -667,6 +693,34 @@ class TestCli:
                          "streaming", "--output", str(out))
         assert r.returncode == 0
         assert load_edge_list(out).m > 0
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_sparsify_output_reads_back(self, tmp_path, capsys, to_file):
+        # every method's output, on stdout or through --output, loads back
+        # as the library's output: weights are written as plain floats
+        g = gen_synthetic(20, 300, seed=1)
+        path = tmp_path / "g.txt"
+        save_edge_list(g, path)
+        g = load_edge_list(path)
+        want = {
+            "online": online_sparsify(g, eps=0.5, seed=3),
+            "merge_reduce": mr_sparsify(g, TreeConfig(block_size=40,
+                                                      seed=3))[0],
+            "streaming": stream_sparsify(g, StreamPipelineConfig(
+                online=OnlineConfig(eps=0.5, seed=3),
+                tree=TreeConfig(block_size=40, seed=3))),
+        }
+        for method, out in want.items():
+            assert 0 < out.m
+            dest = tmp_path / f"{method}.txt"
+            args = ["sparsify", "--input", str(path), "--method", method,
+                    "--block", "40", "--seed", "3"]
+            assert cli.main(args + (["--output", str(dest)] if to_file
+                                    else [])) == 0
+            if not to_file:
+                dest.write_text(capsys.readouterr().out)
+            back = load_edge_list(dest)
+            assert back.edges == out.edges, method
 
     def test_mincut_command(self, tmp_path):
         path = tmp_path / "c8.txt"

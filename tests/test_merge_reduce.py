@@ -22,20 +22,30 @@ def unit_edges(k):
     return [WeightedEdge(i % 3, (i + 1) % 3, 1.0 + i) for i in range(k)]
 
 
+def items(level):
+    """Items held at a level of a tower: its (u, v, w) columns' length."""
+    return 0 if level is None else level[0].size
+
+
+def recount(tree):
+    """The tower's resident items, counted level by level."""
+    return len(tree.buffer) + sum(items(c) for c in tree.levels)
+
+
 class TestTowerStructure:
     def test_two_pushes_fill_level_one(self):
         tree = MergeReduceTree(3, TreeConfig(block_size=2, identity_reducer=True))
         for e in unit_edges(2):
             tree.push(e)
         assert tree.buffer == []
-        assert tree.levels[0] is not None and len(tree.levels[0]) == 2
+        assert tree.levels[0] is not None and items(tree.levels[0]) == 2
 
     def test_four_pushes_carry_to_level_two(self):
         tree = MergeReduceTree(3, TreeConfig(block_size=2, identity_reducer=True))
         for e in unit_edges(4):
             tree.push(e)
         assert tree.levels[0] is None
-        assert len(tree.levels[1]) == 4
+        assert items(tree.levels[1]) == 4
 
     def test_binary_counter_occupancy(self):
         # after k*M pushes the occupied levels spell k in binary
@@ -123,8 +133,7 @@ class TestSpaceAccounting:
             ref_peak = 0
 
             def _note_peak(self, extra=0):
-                recount = len(self.buffer) + sum(len(c) for c in self.levels if c)
-                self.ref_peak = max(self.ref_peak, recount + extra)
+                self.ref_peak = max(self.ref_peak, recount(self) + extra)
                 super()._note_peak(extra)
 
         g = gen_synthetic(20, 2000, seed=2)
@@ -148,8 +157,7 @@ class TestLazyGram:
             block_size=block, seed=5, identity_reducer=identity))
         for i, e in enumerate(edges):
             tree.push(e)
-            assert tree.resident() == (len(tree.buffer)
-                                       + sum(len(c) for c in tree.levels if c))
+            assert tree.resident() == recount(tree)
             if read_every and i % read_every == 0:
                 assert np.array_equal(tree.gram, laplacian(tree.sparsifier()))
         if not read_every:
@@ -177,6 +185,133 @@ class TestLazyGram:
         assert t["carries"] >= 2
         assert t["gram_builds"] == (1 + t["carries"] // 2
                                     - (pipe.tree.merges > merges))
+
+
+def columns_of(edges, as_lists=False):
+    """(u, v, w) of edges as numpy columns, or as Python lists."""
+    u, v, w = ([e.u for e in edges], [e.v for e in edges],
+               [e.w for e in edges])
+    if as_lists:
+        return u, v, w
+    return (np.array(u, dtype=np.intp), np.array(v, dtype=np.intp),
+            np.array(w, dtype=float))
+
+
+def assert_same_tower(a, b):
+    """a and b hold the same items, counters, Gram and inverse, bit for bit."""
+    assert a.stats() == b.stats()
+    assert a.buffer == b.buffer
+    assert len(a.levels) == len(b.levels)
+    for la, lb in zip(a.levels, b.levels):
+        assert (la is None) == (lb is None)
+        if la is not None:
+            for x, y in zip(la, lb):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert (a._gram is None) == (b._gram is None)
+    if a._gram is not None:
+        assert np.array_equal(a._gram, b._gram)
+    assert a._inverse._unread == b._inverse._unread
+    assert a._inverse.stats() == b._inverse.stats()
+    assert np.array_equal(a._inverse.M, b._inverse.M)
+    assert a.sparsifier().edges == b.sparsifier().edges
+
+
+caps = st.one_of(st.just(math.inf), st.integers(min_value=0, max_value=30),
+                 st.floats(min_value=0, max_value=30))
+steps = st.one_of(
+    st.tuples(st.just("extend"), st.integers(min_value=0, max_value=12),
+              caps, st.booleans()),
+    st.tuples(st.sampled_from(("push", "gram", "inverse"))))
+
+
+class TestExtend:
+    @given(edge_lists(), st.integers(min_value=1, max_value=7), st.booleans(),
+           st.lists(steps, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_extend_equals_pushes(self, case, block, identity, plan):
+        # any chunking, interleaved with pushes and with reads of the Gram
+        # or the inverse, or none; a capped chunk stops where _run_capped's
+        # loop stops, after the first push that leaves the peak above cap
+        n, edges = case
+        cfg = TreeConfig(block_size=block, seed=5, identity_reducer=identity)
+        tree, ref = MergeReduceTree(n, cfg), MergeReduceTree(n, cfg)
+        at = 0
+        for step in plan + [("extend", len(edges), math.inf, False)]:
+            if step[0] == "extend":
+                _, k, cap, as_lists = step
+                chunk = edges[at:at + k]
+                taken = 0
+                for e in chunk:
+                    ref.push(e)
+                    taken += 1
+                    if ref.peak_resident > cap:
+                        break
+                assert tree.extend(*columns_of(chunk, as_lists),
+                                   cap=cap) == taken
+                at += taken
+            elif step[0] == "push" and at < len(edges):
+                tree.push(edges[at])
+                ref.push(edges[at])
+                at += 1
+            elif step[0] == "gram":
+                tree.gram
+                ref.gram
+            elif step[0] == "inverse":
+                tree._grounded_inverse()
+                ref._grounded_inverse()
+            assert_same_tower(tree, ref)
+        assert at == len(edges) == tree.pushed
+
+    def test_mr_sparsify_equals_pushes(self):
+        g = gen_synthetic(20, 2000, seed=2)
+        for M in (1, 7, 64):
+            cfg = TreeConfig(block_size=M, seed=M)
+            out, tree = mr_sparsify(g, cfg)
+            ref = MergeReduceTree(g.n, cfg)
+            for e in g.edges:
+                ref.push(e)
+            assert tree.merges > 0
+            assert_same_tower(tree, ref)
+            assert out.edges == ref.sparsifier().edges
+            assert all(type(e.w) is float for e in out.edges)
+
+    @pytest.mark.parametrize("bad", [(1, 1, 1.0), (-1, 2, 1.0), (0, 3, 1.0),
+                                     (0, 1, 0.0), (0, 1, -1.0),
+                                     (0, 1, math.inf), (0, 1, math.nan),
+                                     (0.5, 1, 1.0)])
+    def test_rejects_bad_edge_before_any_change(self, bad):
+        cfg = TreeConfig(block_size=2, seed=3)
+        tree, fresh = MergeReduceTree(3, cfg), MergeReduceTree(3, cfg)
+        for t in (tree, fresh):
+            t.extend(*columns_of(unit_edges(3)))
+            t.gram
+        chunk = unit_edges(5)
+        with pytest.raises(ValueError):
+            tree.extend(*zip(*chunk[:2], bad, *chunk[2:]))
+        assert_same_tower(tree, fresh)
+        tree.extend(*columns_of(chunk))
+        fresh.extend(*columns_of(chunk))
+        assert_same_tower(tree, fresh)
+
+    @pytest.mark.parametrize("u, v, w", [
+        ([0, 1], [1], [1.0, 2.0]),
+        ([[0, 1]], [[1, 2]], [[1.0, 2.0]]),
+        ([True], [False], [1.0]),
+    ])
+    def test_rejects_bad_columns(self, u, v, w):
+        tree = MergeReduceTree(3, TreeConfig(block_size=2))
+        with pytest.raises(ValueError):
+            tree.extend(u, v, w)
+        assert tree.pushed == 0 and tree.buffer == []
+
+    def test_levels_do_not_alias_the_caller_arrays(self):
+        tree = MergeReduceTree(3, TreeConfig(block_size=2,
+                                             identity_reducer=True))
+        u, v, w = columns_of(unit_edges(4))
+        tree.extend(u, v, w)
+        before = tree.sparsifier().edges
+        u[:], v[:], w[:] = 2, 0, 9.0
+        assert tree.sparsifier().edges == before
 
 
 class TestEpsPerLevel:

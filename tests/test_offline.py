@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamsparse import (Graph, OfflineSampleConfig, TreeConfig,
+from streamsparse import (Graph, OfflineSampleConfig, TreeConfig, offline,
                           WeightedEdge, er_sparsify, keep_probabilities,
                           laplacian, leverages, mr_sparsify, rayleigh_error)
 from streamsparse.bench import batch_online_leverages, gen_synthetic
 from streamsparse.rng import UniformByIndex
 
-from test_graph import random_connected, split_laplacians, union_find_labels
+from test_graph import (edge_lists, random_connected, split_laplacians,
+                        union_find_labels)
 
 
 def test_probabilities_clamped():
@@ -89,6 +90,27 @@ def test_matches_scalar_draw_loop():
         got = er_sparsify(g, OfflineSampleConfig(rho, seed)).edges
         assert 0 < len(got) < g.m
         assert got == want
+
+
+@given(edge_lists(), st.floats(min_value=0.05, max_value=20.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_er_sparsify_equals_its_array_core(case, rho, seed):
+    # the tower's reductions call the core on columns built as arrays; the
+    # wrapper gives the same edges, bit for bit, as Python ints and floats
+    n, edges = case
+    u = np.array([e.u for e in edges], dtype=np.intp)
+    v = np.array([e.v for e in edges], dtype=np.intp)
+    w = np.array([e.w for e in edges], dtype=float)
+    ku, kv, kw = offline._er_sample(
+        u, v, w, offline._keep_probabilities(n, u, v, w, rho), seed)
+    assert ku.dtype == kv.dtype == np.intp and kw.dtype == np.float64
+    got = er_sparsify(Graph(n, edges), OfflineSampleConfig(rho, seed)).edges
+    assert [(e.u, e.v, e.w.hex()) for e in got] == [
+        (a, b, c.hex()) for a, b, c in zip(ku.tolist(), kv.tolist(),
+                                           kw.tolist())]
+    assert all(type(x) is int for e in got for x in e[:2])
+    assert all(type(e.w) is float for e in got)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
