@@ -67,12 +67,14 @@ class Graph:
         self.edges.append(e)
 
 
+def _is_integer(x) -> bool:
+    """True when x is a Python or numpy integer, not a bool or a float."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_block_size(block_size) -> None:
-    """Raise ValueError unless block_size is an integer >= 1: a Python or
-    numpy integer, not a bool or a float."""
-    if (isinstance(block_size, bool)
-            or not isinstance(block_size, (int, np.integer))
-            or block_size < 1):
+    """Raise ValueError unless block_size is an integer >= 1 (_is_integer)."""
+    if not _is_integer(block_size) or block_size < 1:
         raise ValueError(f"block_size must be an integer >= 1, "
                          f"got {block_size!r}")
 
@@ -505,6 +507,18 @@ class SpectralSketch:
         u, v, t = e
         _stamp(self._gram, u, v, t)
         self._inverse.note(u, v, t)
+
+    def _extend(self, u, v, t) -> None:
+        """_append each edge (u[i], v[i], t[i]) of three sequences of Python
+        ints and floats its caller has already checked, in order: one
+        rows.extend, one _accumulate, which adds as repeated stamps do, and
+        one note_rows. The sketch ends as the appends leave it, bit for
+        bit."""
+        self.rows.extend(map(tuple.__new__, itertools.repeat(WeightedEdge),
+                             zip(u, v, t)))
+        _accumulate(self._gram, np.array(u, dtype=np.intp),
+                    np.array(v, dtype=np.intp), np.array(t))
+        self._inverse.note_rows(u, v, t)
 
     @property
     def gram(self) -> np.ndarray:

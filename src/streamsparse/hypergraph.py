@@ -17,10 +17,19 @@ pair resistance is at least 1 / min_{x in e} d_x, so a hyperedge with
 rho * w >= min_x d_x (up to the row sampler's margin) is certified, kept
 with p = 1 without reading the inverse, and scored by that lower bound
 w / min_x d_x (inf at degree 0).
+
+HyperSamplerState.extend runs the sampler over a list and ends in the
+state a loop of step leaves, bit for bit. In the fast variant it takes
+each run of hyperedges certified outright, every clique row certified by
+the row sampler's degree test and then the hyperedge by its own, in bulk:
+running degrees advance by the additions the Gram diagonal receives, and
+the run's rows reach the sketch as columns. A hyperedge that ends a run
+goes through step, and a new run starts after it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -155,6 +164,8 @@ class HyperSamplerConfig:
             raise ValueError("variant must be 'fast' or 'balanced'")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
+        if self.c is not None and not self.c > 0:
+            raise ValueError("c must be positive")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
 
@@ -238,6 +249,81 @@ class HyperSamplerState:
             self.kept.append((e, 1.0 / p))
         return HyperDecision(kept, p, score)
 
+    def extend(self, edges) -> list[HyperDecision]:
+        """step each hyperedge of edges in order and return the decisions.
+
+        The sampler ends in the state the steps leave, bit for bit. Every
+        hyperedge's vertices are checked first, and one outside [0, n)
+        raises ValueError before any state changes. The fast variant takes
+        each run of hyperedges that the weighted degrees certify outright
+        in bulk (_certified_run) and steps the hyperedge that ends the run,
+        then starts a new run after it; the balanced variant steps each."""
+        edges = list(edges)
+        for e in edges:
+            _check_vertices(e, self.n)
+        if self.cfg.variant == "balanced":
+            return [self.step(e) for e in edges]
+        out: list[HyperDecision] = []
+        while len(out) < len(edges):
+            out += self._certified_run(edges, len(out))
+            if len(out) < len(edges):
+                out.append(self.step(edges[len(out)]))
+        return out
+
+    def _certified_run(self, edges: list[Hyperedge],
+                       start: int) -> list[HyperDecision]:
+        """Take edges[start:end] as the fast rule's steps would, end being
+        the first hyperedge from start not certified outright, and return
+        their decisions.
+
+        A hyperedge is certified outright when each clique row in turn
+        passes the row sampler's test c * w >= min(d_u, d_v) * margin and
+        then the hyperedge passes rho * w >= min_x d_x * margin, d the
+        weighted degrees: the Gram diagonal, advanced row by row by the
+        additions _stamp makes. Its steps would keep every row at weight w
+        and the hyperedge with p = 1, taking no draw, so the run's rows go
+        to the sketch as columns (SpectralSketch._extend) and the counters
+        advance by the run's row and hyperedge counts."""
+        sampler = self.sampler
+        c, rho = sampler.c, self.cfg.rho
+        d = sampler.sketch.gram.diagonal().tolist()
+        pairs: list[tuple[int, int]] = []
+        ts: list[float] = []
+        scores: list[float] = []
+        for e in itertools.islice(edges, start, None):
+            w = e.w
+            cw = c * w
+            rows = clique_pairs(e.vertices)
+            for u, v in rows:
+                du, dv = d[u], d[v]
+                if not cw >= (du if du < dv else dv) * _CERTIFY_MARGIN:
+                    break
+                d[u] = du + w
+                d[v] = dv + w
+            else:
+                dmin = min(map(d.__getitem__, e.vertices))
+                if rho * w >= dmin * _CERTIFY_MARGIN:
+                    pairs += rows
+                    ts += itertools.repeat(w, len(rows))
+                    scores.append(w / dmin)     # dmin >= w > 0
+                    continue
+            break
+        if not scores:
+            return []
+        us, vs = zip(*pairs)
+        sampler.sketch._extend(us, vs, ts)
+        sampler._index += len(ts)
+        sampler._certified += len(ts)
+        sampler.kept_count += len(ts)
+        self.seen += len(scores)
+        self._certified += len(scores)
+        self.kept.extend(zip(edges[start:start + len(scores)],
+                             itertools.repeat(1.0)))
+        # tuple.__new__ builds each decision in C, as graph._edge_list does
+        return list(map(tuple.__new__, itertools.repeat(HyperDecision),
+                        zip(itertools.repeat(True), itertools.repeat(1.0),
+                            scores)))
+
     def sparsifier(self) -> Hypergraph:
         """Kept hyperedges with weights scaled by 1/p, in arrival order."""
         out = Hypergraph(self.n)
@@ -264,6 +350,5 @@ def hyper_sparsify(h: Hypergraph, variant: str = "fast", eps: float = 1.0,
     cfg = HyperSamplerConfig(rho=rho, variant=variant, eps=eps,
                              seed=seed, m_hint=max(rows, 2))
     state = HyperSamplerState(h.n, cfg)
-    for e in h.hyperedges:
-        state.step(e)
+    state.extend(h.hyperedges)
     return state.sparsifier()

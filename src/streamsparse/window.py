@@ -8,6 +8,12 @@ Because online coresets are valid on every prefix and the stream is
 reversed, any suffix window of the original stream can be answered by the
 stored items whose original index lies in it: a prefix of the buffer
 followed by the levels, lowest first.
+
+A carry runs the fast hyperedge sampler over its items with one
+HyperSamplerState.extend, so the runs of items the weighted degrees
+certify (kept with p = 1) skip the per-row sampler; stats() counts them.
+A push changes the window only once its carry is built, so a carry that
+raises leaves the window as it was.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import _check_block_size
+from .graph import _check_block_size, _is_integer
 from .hypergraph import (Hyperedge, Hypergraph, HyperSamplerConfig,
                          HyperSamplerState, _check_vertices, _rescaled,
                          fast_rho)
@@ -41,8 +47,8 @@ class SlidingWindowConfig:
 
     def __post_init__(self):
         _check_block_size(self.block_size)
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.rho is not None and not self.rho > 0:
             raise ValueError("rho must be positive")
 
@@ -57,22 +63,27 @@ class SlidingWindowState:
         self.levels: list[list[StoredItem] | None] = []
         self.last_index: int | None = None
         self.carries = 0
+        self.certified = 0
 
     def stored(self) -> int:
         return len(self.buffer) + sum(len(c) for c in self.levels if c)
 
     def stats(self) -> dict:
         """Counters of this window, as a plain dict: carries (one per push
-        that found the buffer full), items stored now, and the number of
-        levels."""
-        return {"carries": self.carries, "stored": self.stored(),
-                "height": len(self.levels)}
+        that found the buffer full), carried items the hyperedge sampler
+        certified (kept with p = 1 by the weighted-degree rule), items
+        stored now, and the number of levels."""
+        return {"carries": self.carries, "certified": self.certified,
+                "stored": self.stored(), "height": len(self.levels)}
 
     # -- coreset subroutine --------------------------------------------
 
-    def _coreset(self, items: list[StoredItem]) -> list[StoredItem]:
+    def _coreset(self, items: list[StoredItem]) -> tuple[list[StoredItem], int]:
+        """The items the fast hyperedge sampler keeps, reweighted, when run
+        over items as one stream (HyperSamplerState.extend), and how many it
+        certified."""
         if self.cfg.identity_coreset:
-            return list(items)
+            return list(items), 0
         rho = self.cfg.rho
         if rho is None:
             r = max(it.edge.size for it in items)
@@ -81,38 +92,47 @@ class SlidingWindowState:
         seed = spawn_seed(self.cfg.seed, self.carries)
         state = HyperSamplerState(self.n, HyperSamplerConfig(
             rho=rho, eps=self.cfg.eps, seed=seed, m_hint=max(rows, 2)))
-        out: list[StoredItem] = []
-        for it in items:
-            decision = state.step(_rescaled(it.edge, it.factor))
-            if decision.kept:
-                out.append(StoredItem(it.edge, it.index,
-                                      it.factor / decision.p))
-        return out
+        decisions = state.extend([it.edge if it.factor == 1.0
+                                  else _rescaled(it.edge, it.factor)
+                                  for it in items])
+        out = [StoredItem(it.edge, it.index, it.factor / d.p)
+               for it, d in zip(items, decisions) if d.kept]
+        return out, state.stats()["certified"]
 
     # -- push / query ---------------------------------------------------
 
     def push(self, item: Hyperedge, t: int | None = None) -> None:
+        """Add item at arrival index t (an integer, not a bool; None: the
+        next index). A vertex outside [0, n), a bad t or a t not above the
+        last one raises ValueError, and a carry that raises leaves the
+        window as it was."""
         _check_vertices(item, self.n)
         if t is None:
             t = 0 if self.last_index is None else self.last_index + 1
+        elif not _is_integer(t):
+            raise ValueError(f"t must be an integer, got {t!r}")
         if self.last_index is not None and t <= self.last_index:
             raise ValueError("stream indices must be strictly increasing")
-        self.last_index = t
+        t = int(t)
         if len(self.buffer) < self.cfg.block_size:
             self.buffer.appendleft(StoredItem(item, t, 1.0))
+            self.last_index = t
             return
         # buffer is full: compact everything below the first empty level
         stream = list(self.buffer)
         lvl = 0
         while lvl < len(self.levels) and self.levels[lvl] is not None:
             stream.extend(self.levels[lvl])
-            self.levels[lvl] = None
             lvl += 1
-        if lvl >= len(self.levels):
+        coreset, certified = self._coreset(stream)
+        self.levels[:lvl] = [None] * lvl
+        if lvl == len(self.levels):
             self.levels.append(None)
-        self.levels[lvl] = self._coreset(stream)
+        self.levels[lvl] = coreset
         self.carries += 1
+        self.certified += certified
         self.buffer = deque([StoredItem(item, t, 1.0)])
+        self.last_index = t
 
     def query(self, window: int) -> Hypergraph:
         """Sparsifier of the last `window` items, in original arrival order.
@@ -122,8 +142,8 @@ class SlidingWindowState:
         item older than the window, and O(window) items are read. An item
         never reweighted is returned as the stored Hyperedge itself.
         """
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        if not _is_integer(window) or window < 1:
+            raise ValueError(f"window must be an integer >= 1, got {window!r}")
         low = -math.inf
         if self.last_index is not None:
             low = self.last_index - window + 1

@@ -46,6 +46,10 @@ from streamsparse import (BalanceConfig, ExperimentConfig,
     lambda: SlidingWindowConfig(block_size=math.nan),
     lambda: SlidingWindowConfig(block_size=True),
     lambda: SlidingWindowConfig(block_size=4.0),
+    lambda: SlidingWindowConfig(block_size=2, eps=math.inf),
+    lambda: HyperSamplerConfig(rho=1.0, c=-1.0),
+    lambda: HyperSamplerConfig(rho=1.0, c=0.0),
+    lambda: HyperSamplerConfig(rho=1.0, c=math.nan),
 ], ids=["window-eps0", "window-eps-neg", "window-rho0", "window-rho-neg",
         "hyper-eps0", "hyper-eps-neg", "online-eps0", "online-eps-neg",
         "tree-rho0", "tree-rho-neg", "tree-rho-nan", "tree-rho-inf",
@@ -55,7 +59,8 @@ from streamsparse import (BalanceConfig, ExperimentConfig,
         "balance-gamma-nan", "experiment-tolerance-neg",
         "tree-block0", "tree-block-frac", "tree-block-nan", "tree-block-bool",
         "tree-block-float", "window-block0", "window-block-frac",
-        "window-block-nan", "window-block-bool", "window-block-float"])
+        "window-block-nan", "window-block-bool", "window-block-float",
+        "window-eps-inf", "hyper-c-neg", "hyper-c0", "hyper-c-nan"])
 def test_bad_values_fail_at_construction(build):
     with pytest.raises(ValueError):
         build()

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamsparse import (Graph, Hyperedge, Hypergraph, HyperSamplerConfig,
                           HyperSamplerState, IncidenceRow, SpectralSketch,
@@ -17,6 +17,7 @@ from streamsparse import (Graph, Hyperedge, Hypergraph, HyperSamplerConfig,
                           pseudo_inverse, quantize_weight)
 from streamsparse import graph, hypergraph
 from streamsparse.graph import _components, _resistance
+from streamsparse.balance import BalanceError
 from streamsparse.hypergraph import _rescaled
 
 from test_graph import assert_grounded
@@ -466,3 +467,124 @@ class TestMaintainedScores:
             assert stats["refreshes"] >= 1
             assert 0 < stats["drift"] < 1e-9
             assert stats["joins"] == 9
+
+
+def wide_stream(n, seed, m):
+    """m hyperedges of 2 to min(5, n) vertices, weights log-uniform on
+    [1e-6, 1e6]: a spread at which the sketch's Gram matrix is badly
+    conditioned."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(m):
+        k = int(rng.integers(2, min(5, n) + 1))
+        verts = tuple(int(x) for x in rng.choice(n, size=k, replace=False))
+        out.append(Hyperedge(verts, float(10.0 ** rng.uniform(-6, 6))))
+    return out
+
+
+@st.composite
+def wide_cases(draw):
+    """(n, cfg, before, stream, after): a wide_stream cut in three, rho and
+    c log-uniform from certifying no hyperedge (rho < 1) and almost no row
+    to certifying every one, and either variant."""
+    n = draw(st.integers(min_value=3, max_value=29))
+    m = draw(st.integers(min_value=1, max_value=60))
+    stream = wide_stream(n, draw(st.integers(min_value=0, max_value=2**32 - 1)), m)
+    a, b = sorted(draw(st.lists(st.integers(min_value=0, max_value=m),
+                                min_size=2, max_size=2)))
+    log10 = st.floats(min_value=-3.0, max_value=15.0)
+    cfg = HyperSamplerConfig(
+        rho=10.0 ** draw(log10), c=10.0 ** draw(log10),
+        variant=draw(st.sampled_from(("fast", "balanced"))),
+        seed=draw(st.integers(min_value=0, max_value=2**16)))
+    return n, cfg, stream[:a], stream[a:b], stream[b:]
+
+
+def snapshot(state):
+    """Everything a step changes, floats and integer types included: the
+    kept list, the sketch's rows, the Gram's bits, stats() (the inverse's
+    counters and drift among them) and the row sampler's draw index."""
+    sketch = state.sampler.sketch
+    return (repr(state.kept), repr(sketch.rows), sketch.gram.tobytes(),
+            state.stats(), state.sampler._index)
+
+
+def outcome(run):
+    """(run()'s result, None) or (None, the exception's type and text)."""
+    try:
+        return run(), None
+    except (ValueError, BalanceError) as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestExtend:
+    @given(wide_cases())
+    @example((26, HyperSamplerConfig(rho=45.11897533305894,
+                                     c=45.73858776447126),
+              [], wide_stream(26, 16700, 60), []))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_step_loop_bit_for_bit(self, case):
+        # the bulk path for certified runs ends where a loop of step does:
+        # the same decisions and the same state, or the same exception at
+        # the same hyperedge; and the state steps on the same afterwards.
+        # At this weight spread a step can itself raise (a BalanceError, or
+        # a math domain error in the inverse's fold: the example fails so at
+        # hyperedge 48), and such streams stay
+        n, cfg, before, stream, after = case
+        loop, bulk = HyperSamplerState(n, cfg), HyperSamplerState(n, cfg)
+        for part in (before, stream):   # the second extends a used sampler
+            want = outcome(lambda: [loop.step(e) for e in part])
+            assert outcome(lambda: bulk.extend(part)) == want
+            assert bulk.seen == loop.seen
+            assert snapshot(bulk) == snapshot(loop)
+            if want[1] is not None:
+                return
+        for e in after:
+            want = outcome(lambda: loop.step(e))
+            assert outcome(lambda: bulk.step(e)) == want
+            assert snapshot(bulk) == snapshot(loop)
+            if want[1] is not None:
+                return
+
+    def test_certified_stream_takes_no_step(self, monkeypatch):
+        # at a huge rho and c every row and hyperedge is certified, so one
+        # run covers the stream and step is never called
+        rng = np.random.default_rng(3)
+        h = random_hypergraph(rng, n=9, m=80, r=5)
+        cfg = HyperSamplerConfig(rho=1e12, c=1e12, seed=1)
+        loop = HyperSamplerState(9, cfg)
+        want = [loop.step(e) for e in h.hyperedges]
+        bulk = HyperSamplerState(9, cfg)
+        calls = []
+        monkeypatch.setattr(bulk, "step", lambda e: calls.append(e))
+        assert bulk.extend(h.hyperedges) == want
+        assert calls == []
+        assert snapshot(bulk) == snapshot(loop)
+        assert bulk.stats()["certified"] == 80
+        assert bulk.stats()["sampler"]["scored"] == 0
+
+    @pytest.mark.parametrize("variant", ["fast", "balanced"])
+    def test_rejects_out_of_range_before_any_change(self, variant):
+        cfg = HyperSamplerConfig(rho=0.5, variant=variant, seed=3)
+        state = HyperSamplerState(5, cfg)
+        good = [Hyperedge((0, 1, 2), 1.0), Hyperedge((2, 3), 2.0)]
+        for bad in (Hyperedge((-2, 1), 1.0), Hyperedge((3, 5), 1.0)):
+            with pytest.raises(ValueError):
+                state.extend(good + [bad])
+            assert state.seen == 0 and len(state.sampler.sketch) == 0
+        fresh = HyperSamplerState(5, cfg)
+        assert state.extend(iter(good)) == [fresh.step(e) for e in good]
+
+    @pytest.mark.parametrize("variant", ["fast", "balanced"])
+    def test_hyper_sparsify_equals_the_step_loop(self, variant):
+        rng = np.random.default_rng(6)
+        h = random_hypergraph(rng, m=120)
+        rho = (balanced_rho if variant == "balanced" else fast_rho)(
+            h.r, h.m, 0.5)
+        rows = sum(e.size * (e.size - 1) // 2 for e in h.hyperedges)
+        state = HyperSamplerState(8, HyperSamplerConfig(
+            rho=rho, variant=variant, eps=0.5, seed=2, m_hint=rows))
+        for e in h.hyperedges:
+            state.step(e)
+        got = hyper_sparsify(h, variant=variant, eps=0.5, seed=2)
+        assert repr(got.hyperedges) == repr(state.sparsifier().hyperedges)

@@ -1,12 +1,25 @@
 """Sliding-window tower over the reversed stream."""
 
+import itertools
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamsparse import (Hyperedge, Hypergraph, SlidingWindowConfig,
-                          SlidingWindowState, hyper_energy, sw_push, sw_query)
+from streamsparse import (Hyperedge, Hypergraph, HyperSamplerConfig,
+                          HyperSamplerState, SlidingWindowConfig,
+                          SlidingWindowState, fast_rho, hyper_energy, sw_push,
+                          sw_query)
 from streamsparse.hypergraph import _rescaled
+from streamsparse.rng import spawn_seed
+from streamsparse.window import StoredItem
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def random_stream(rng, n=8, m=200, r=3):
@@ -67,19 +80,60 @@ class TestStructure:
         with pytest.raises(ValueError):
             sw_push(st, Hyperedge((0, 1), 1.0), t=5)
 
+    def test_index_and_window_must_be_integers(self):
+        st = identity_state(4, 4)
+        for t in (1.5, 2.0, True, "3"):
+            with pytest.raises(ValueError):
+                st.push(Hyperedge((0, 1), 1.0), t=t)
+        assert st.stored() == 0 and st.last_index is None
+        st.push(Hyperedge((0, 1), 1.0), t=np.int64(4))
+        assert st.last_index == 4 and type(st.last_index) is int
+        for window in (2.5, 1.0, True, 0, -3):
+            with pytest.raises(ValueError):
+                st.query(window)
+        assert st.query(np.intp(1)).m == 1
+
+    def test_a_carry_that_raises_leaves_the_window_unchanged(self):
+        st = SlidingWindowState(6, SlidingWindowConfig(block_size=2, seed=1))
+        for i in range(8):     # the buffer full, levels 0 and 1 taken
+            st.push(Hyperedge((i % 6, (i + 1) % 6), 1.0 + i))
+        before = (st.stored(), st.last_index, repr(st.levels),
+                  repr(st.buffer), st.stats())
+        assert st.levels[0] is not None and st.levels[1] is not None
+
+        def failing(items):
+            raise RuntimeError("carry failed")
+
+        with mock.patch.object(st, "_coreset", failing):
+            with pytest.raises(RuntimeError):
+                st.push(Hyperedge((0, 2), 1.0))
+        assert (st.stored(), st.last_index, repr(st.levels),
+                repr(st.buffer), st.stats()) == before
+        st.push(Hyperedge((0, 2), 1.0))
+        assert st.last_index == 8 and st.carries == before[4]["carries"] + 1
+        assert st.levels[:2] == [None, None] and st.levels[2] is not None
+
 
 class TestStats:
     @pytest.mark.parametrize("identity", [False, True])
     def test_counters_add_up(self, identity):
         st = SlidingWindowState(8, SlidingWindowConfig(
             block_size=6, seed=2, identity_coreset=identity))
-        full = 0
+        full = carried = 0
         for e in random_stream(np.random.default_rng(4), m=150):
-            full += len(st.buffer) == st.cfg.block_size
+            if len(st.buffer) == st.cfg.block_size:
+                full += 1
+                carried += len(st.buffer) + sum(
+                    len(c) for c in itertools.takewhile(bool, st.levels))
             st.push(e)
-        assert st.stats() == {"carries": full, "stored": st.stored(),
-                              "height": len(st.levels)}
+        stats = st.stats()
+        certified = stats.pop("certified")
+        assert stats == {"carries": full, "stored": st.stored(),
+                         "height": len(st.levels)}
         assert full == st.carries > 0
+        # the identity coreset certifies nothing; the sampler, at the
+        # default rho, certifies some carried items and no more than all
+        assert (certified == 0) if identity else (0 < certified <= carried)
 
 
 class TestIdentityQueries:
@@ -221,3 +275,75 @@ class TestQueryScan:
                     self._assert_as_reference(state, window)
         for window in queries:
             self._assert_as_reference(state, window)
+
+
+def reference_coreset(state, items):
+    """A carry as a loop of HyperSamplerState.step, one item at a time:
+    the kept items, reweighted, and the sampler's certified count."""
+    cfg = state.cfg
+    if cfg.identity_coreset:
+        return list(items), 0
+    rho = cfg.rho
+    if rho is None:
+        rho = fast_rho(max(it.edge.size for it in items), len(items), cfg.eps)
+    rows = sum(it.edge.size * (it.edge.size - 1) // 2 for it in items)
+    sampler = HyperSamplerState(state.n, HyperSamplerConfig(
+        rho=rho, eps=cfg.eps, seed=spawn_seed(cfg.seed, state.carries),
+        m_hint=max(rows, 2)))
+    out = []
+    for it in items:
+        decision = sampler.step(_rescaled(it.edge, it.factor))
+        if decision.kept:
+            out.append(StoredItem(it.edge, it.index, it.factor / decision.p))
+    return out, sampler.stats()["certified"]
+
+
+def checking_carries(carried):
+    """A patch of SlidingWindowState._coreset that checks each carry
+    against reference_coreset, bit for bit, and records its input size."""
+    real = SlidingWindowState._coreset
+
+    def checked(state, items):
+        got = real(state, items)
+        assert repr(got) == repr(reference_coreset(state, items))
+        carried.append(len(items))
+        return got
+
+    return mock.patch.object(SlidingWindowState, "_coreset", checked)
+
+
+class TestCarries:
+    @given(window_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_each_carry_equals_the_step_loop(self, case):
+        n, cfg, stream, _ = case
+        state = SlidingWindowState(n, cfg)
+        carried = []
+        with checking_carries(carried):
+            t = -1
+            for e, gap in stream:
+                t += gap
+                state.push(e, t)
+        assert len(carried) == state.carries
+
+    def test_window_mix_carries(self):
+        # window_mix's seed-0 inputs through the library: every carry as the
+        # step loop, the counts pinned, and the steps that the bulk path
+        # leaves to step (a change that falls off it moves that count)
+        wl = workloads.WORKLOADS["window_mix"]()
+        stream, _, _, state = wl.prepare(0)
+        carried, steps = [], []
+        real_step = HyperSamplerState.step
+
+        def counting(sampler, e):
+            steps.append(e)
+            return real_step(sampler, e)
+
+        with checking_carries(carried), \
+                mock.patch.object(HyperSamplerState, "step", counting):
+            for e in stream:
+                state.push(e)
+        stats = state.stats()
+        assert (stats["carries"], sum(carried)) == (31, 5120)
+        assert stats["certified"] == 5120
+        assert len(steps) == 238 + 5120     # the reference steps every item
